@@ -8,8 +8,8 @@
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// Linux reports `/proc` CPU times in USER_HZ ticks, fixed at 100.
-pub const NS_PER_TICK: u64 = 10_000_000;
+/// Linux reports `/proc/stat` times in USER_HZ ticks, fixed at 100.
+const NS_PER_TICK: u64 = 10_000_000;
 
 fn instant() -> Instant {
     // sitw-lint: allow(clock-discipline)
@@ -46,22 +46,16 @@ pub fn wait_until(due_ns: u64, spin_ns: u64) {
     }
 }
 
-/// User + system CPU ticks from a `/proc/.../stat` line, or `None` when
-/// the file is gone (the thread or process ended).
-pub fn stat_ticks(path: &str) -> Option<u64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    // The command name may contain spaces; fields resume after its `)`.
-    let rest = &text[text.rfind(')')? + 1..];
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    // Fields 14 and 15 of stat(5) (utime, stime), counted from `state` (3).
-    let utime: u64 = fields.get(11)?.parse().ok()?;
-    let stime: u64 = fields.get(12)?.parse().ok()?;
-    Some(utime + stime)
+/// CPU time a task has run, ns, from its `/proc/.../schedstat`, or
+/// `None` when the file is gone (the thread or process ended).
+pub fn run_ns(schedstat: &str) -> Option<u64> {
+    let text = std::fs::read_to_string(schedstat).ok()?;
+    text.split_whitespace().next()?.parse().ok()
 }
 
-/// CPU time of the calling thread, in nanoseconds (tick resolution).
+/// CPU time of the calling thread, ns.
 pub fn thread_cpu_ns() -> u64 {
-    stat_ticks("/proc/thread-self/stat").unwrap_or(0) * NS_PER_TICK
+    run_ns("/proc/thread-self/schedstat").unwrap_or(0)
 }
 
 /// Steal time of the whole machine so far, ns: time its virtual CPUs

@@ -16,7 +16,7 @@ use sitw_serve::snapshot::Snapshot;
 use sitw_serve::wire::{self, BinInvoke, BinReply};
 
 use crate::clock::now_ns;
-use crate::workload::{kind_index, registry, Trace, Verdict, Wire, Workload};
+use crate::workload::{kind_index, on_bin_wire, registry, Trace, Wire, Workload};
 
 /// Records the codec replays cover (a prefix of the trace).
 const CODEC_RECORDS: usize = 50_000;
@@ -59,16 +59,6 @@ impl Layers {
     }
 }
 
-fn decision(v: &Verdict) -> Decision {
-    Decision {
-        cold: v.cold,
-        prewarm_load: v.prewarm_load,
-        evicted: v.evicted,
-        kind: v.kind,
-        windows: v.windows,
-    }
-}
-
 fn tenant_name(tenant: u16) -> String {
     match tenant {
         0 => DEFAULT_TENANT_NAME.to_owned(),
@@ -87,7 +77,7 @@ fn clock_overhead_ns() -> f64 {
 }
 
 /// Runs every layer replay of the workload.
-pub fn replay(w: &Workload, trace: &Trace, reference: &[Verdict]) -> Result<Layers, String> {
+pub fn replay(w: &Workload, trace: &Trace, reference: &[Decision]) -> Result<Layers, String> {
     let mut l = Layers::default();
     let n = trace.recs.len().min(CODEC_RECORDS);
     let recs = &trace.recs[..n];
@@ -113,10 +103,9 @@ pub fn replay(w: &Workload, trace: &Trace, reference: &[Verdict]) -> Result<Laye
         }
     });
     l.metrics.insert("wire.json_parse_ns", ns / n as f64);
-    let decisions: Vec<Decision> = reference[..n].iter().map(decision).collect();
     let mut out = Vec::with_capacity(256);
     let ns = l.span("wire::render_decision", n as u64, || {
-        for d in &decisions {
+        for d in &reference[..n] {
             out.clear();
             wire::render_decision(&mut out, black_box(d));
             black_box(&out);
@@ -154,7 +143,7 @@ pub fn replay(w: &Workload, trace: &Trace, reference: &[Verdict]) -> Result<Laye
         .map(|c| {
             c.iter()
                 .map(|v| {
-                    let v = v.on_bin_wire();
+                    let v = on_bin_wire(*v);
                     BinReply::Verdict {
                         cold: v.cold,
                         prewarm_load: v.prewarm_load,

@@ -3,22 +3,24 @@
 //! ```text
 //! sitw-benchmark --workload hot-json|longtail-bin|routed-repl
 //!                [--seed 42] [--seconds 10] [--trace 0|1]
+//! sitw-benchmark sweep --workload W --rates R1,R2,.. [--seed 42] [--seconds 2]
 //! sitw-benchmark compare RESULT_A.json RESULT_B.json
 //! ```
 //!
 //! Run from the repository root. One run builds `sitw-serve` and
 //! `sitw-router`, then:
 //!
-//! 1. **Set-up**, three times (the median is `setup_s`): generate the
+//! 1. **Set-up**, seven times (the median is `setup_s`): generate the
 //!    workload's trace from the seed, compute the offline reference
-//!    verdict of every record, start the system under test as child
-//!    processes, and replay the trace's leading days closed-loop so the
-//!    timed phases meet realistic policy state. The first two set-ups
-//!    are stopped again; the third carries on.
-//! 2. **Timed phases** on consecutive slices of the same trace and the
+//!    verdict of every record, and start the system under test as child
+//!    processes. The first six set-ups are stopped again; the last
+//!    carries on.
+//! 2. **Warm replay** of the trace's leading days, closed loop, so the
+//!    timed phases meet realistic policy state.
+//! 3. **Timed phases** on consecutive slices of the same trace and the
 //!    same processes: open loop at the workload's fixed `lo` and `hi`
 //!    rates, then a closed-loop saturation phase over the rest.
-//! 3. **Check**: every reply's verdict must equal the reference, the
+//! 4. **Check**: every reply's verdict must equal the reference, the
 //!    replies' cold-start share must equal the reference's, and the same
 //!    check run against a reference with one flipped verdict must fail.
 //!
@@ -30,6 +32,10 @@
 //!
 //! The last line of standard output is the result as one JSON object.
 //! See `NOTES.md` for every metric, its unit and direction.
+//!
+//! `sweep` finds a workload's knee: after one set-up and the warm replay
+//! it offers each rate open-loop for `--seconds` on consecutive slices
+//! and prints the phase line of each step.
 
 #![forbid(unsafe_code)]
 
@@ -50,13 +56,14 @@ use std::process::ExitCode;
 use clock::now_ns;
 use drive::{Mode, Phase, PhaseResult};
 use report::{Fingerprint, OUT_DIR};
+use sitw_serve::shard::Decision;
 use sitw_trace::DAY_MS;
 use stats::{median, open_stats, windowed_rate, OpenStats};
 use sut::{http_ok, num_at, Role, Sut};
-use workload::{Trace, Verdict, Wire, Workload};
+use workload::{Trace, Wire, Workload};
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 3;
+const SETUP_REPEATS: usize = 7;
 /// Share of `--seconds` given to each open-loop phase.
 const OPEN_SHARE: f64 = 0.3;
 /// The seed later performance claims are re-checked on, never used
@@ -68,29 +75,35 @@ struct Args {
     seed: u64,
     seconds: u64,
     trace: bool,
+    /// `sweep` only: the offered rates, records/s.
+    rates: Vec<f64>,
 }
 
 enum Cmd {
     Run(Args),
+    Sweep(Args),
     Compare(PathBuf, PathBuf),
 }
 
 fn usage() -> String {
     "usage: sitw-benchmark --workload hot-json|longtail-bin|routed-repl [--seed N] \
-     [--seconds N] [--trace 0|1]\n       sitw-benchmark compare RESULT_A RESULT_B"
+     [--seconds N] [--trace 0|1]\n       sitw-benchmark sweep --workload W --rates R1,R2,.. \
+     [--seed N] [--seconds N]\n       sitw-benchmark compare RESULT_A RESULT_B"
         .into()
 }
 
 fn parse_args() -> Result<Cmd, String> {
-    let mut args = std::env::args().skip(1);
+    let mut args = std::env::args().skip(1).peekable();
+    let sweep = args.next_if_eq("sweep").is_some();
     let mut a = Args {
         workload: String::new(),
         seed: 42,
-        seconds: 10,
+        seconds: if sweep { 2 } else { 10 },
         trace: false,
+        rates: Vec::new(),
     };
     while let Some(flag) = args.next() {
-        if flag == "compare" {
+        if flag == "compare" && !sweep {
             let (Some(x), Some(y)) = (args.next(), args.next()) else {
                 return Err(usage());
             };
@@ -106,19 +119,27 @@ fn parse_args() -> Result<Cmd, String> {
             "--workload" => a.workload = value.clone(),
             "--seed" => a.seed = number()?,
             "--seconds" => a.seconds = number()?.max(1),
-            "--trace" => a.trace = number()? != 0,
+            "--trace" if !sweep => a.trace = number()? != 0,
+            "--rates" if sweep => {
+                a.rates = value
+                    .split(',')
+                    .map(|r| r.parse::<f64>().ok().filter(|r| *r > 0.0))
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| format!("--rates: not a list of rates: {value}"))?
+            }
             _ => return Err(usage()),
         }
     }
-    if workload::find(&a.workload).is_none() {
+    if workload::find(&a.workload).is_none() || (sweep && a.rates.is_empty()) {
         return Err(usage());
     }
-    Ok(Cmd::Run(a))
+    Ok(if sweep { Cmd::Sweep(a) } else { Cmd::Run(a) })
 }
 
 fn main() -> ExitCode {
     let result = match parse_args() {
         Ok(Cmd::Run(a)) => run(&a),
+        Ok(Cmd::Sweep(a)) => sweep(&a),
         Ok(Cmd::Compare(x, y)) => report::compare(&x, &y),
         Err(e) => Err(e),
     };
@@ -134,7 +155,7 @@ fn main() -> ExitCode {
 /// Everything the set-up leaves for the timed phases.
 struct Setup {
     trace: Trace,
-    reference: Vec<Verdict>,
+    reference: Vec<Decision>,
     ref_ns: u64,
     sut: Sut,
     tenant_ids: Vec<u16>,
@@ -153,7 +174,7 @@ struct Tally {
 
 impl Tally {
     /// Folds a phase's replies into `got` and counts failures.
-    fn absorb(&mut self, p: PhaseResult, got: &mut [Option<Verdict>]) {
+    fn absorb(&mut self, p: PhaseResult, got: &mut [Option<Decision>]) {
         self.attempted += p.records as u64;
         self.failed += p.lost as u64;
         if let Some(e) = p.error {
@@ -208,6 +229,105 @@ fn run_phase(
 ) -> Result<PhaseResult, String> {
     drive::run_phase(&s.conns, &s.trace, w.wire, &s.tenant_ids, phase, tracer)
         .map_err(|e| format!("phase {}: {e}", phase.name))
+}
+
+impl Setup {
+    /// Closes the connections and stops the system under test.
+    fn stop(self) -> Result<(), String> {
+        drop(self.conns);
+        self.sut
+            .stop()
+            .map_err(|e| format!("stopping the SUT: {e}"))
+    }
+}
+
+/// Replays the trace's leading `warm_days` closed-loop and returns the
+/// replies so far, indexed like the trace.
+fn warm(s: &Setup, w: &Workload, tally: &mut Tally) -> Result<Vec<Option<Decision>>, String> {
+    let phase = Phase {
+        name: "warm",
+        range: 0..s.warm_end,
+        mode: Mode::Closed(w.window),
+        sample_every_ns: 0,
+        tag: 0,
+    };
+    let p = run_phase(s, w, &phase, None)?;
+    println!(
+        "phase {:<9} closed loop, window {} | {} records in {:.3} s",
+        phase.name,
+        w.window,
+        p.records,
+        p.wall_ns() as f64 / 1e9
+    );
+    let mut got = vec![None; s.trace.recs.len()];
+    tally.absorb(p, &mut got);
+    Ok(got)
+}
+
+fn print_open(name: &str, st: &OpenStats) {
+    println!(
+        "phase {:<9} offered {:>7.0}/s achieved {:>9.1}/s | {} records in {} units | p50 {:.1} us \
+         p99 {:.1} us (median of {} calm of {} windows) | gen late p99 {:.1} us, cpu {:.2} | {}{}{}",
+        name,
+        st.offered,
+        st.achieved,
+        st.records,
+        st.units,
+        st.p50_us,
+        st.p99_us,
+        st.calm,
+        st.windows,
+        st.late_p99_us,
+        st.gen_cpu_frac,
+        if st.meets_slo { "meets" } else { "misses" },
+        if st.growing { ", backlog grows" } else { "" },
+        if st.gen_bound {
+            ", GENERATOR-BOUND (not server capacity)"
+        } else {
+            ""
+        },
+    );
+}
+
+/// `sweep`: one set-up and the warm replay, then each rate open-loop for
+/// `--seconds` on consecutive slices of the trace. Every reply is still
+/// checked against the reference.
+fn sweep(a: &Args) -> Result<(), String> {
+    let w = workload::find(&a.workload).expect("validated by parse_args");
+    let fp = Fingerprint::read();
+    let bins = sut::build_binaries().map_err(|e| e.to_string())?;
+    let s = setup(w, a.seed, &bins, false, None)?;
+    let mut tally = Tally::default();
+    let mut got = warm(&s, w, &mut tally)?;
+    let mut next = s.warm_end;
+    for &rate in &a.rates {
+        let n = (rate * a.seconds as f64) as usize;
+        if next + n > s.trace.recs.len() {
+            println!("trace exhausted before {rate:.0}/s");
+            break;
+        }
+        let phase = Phase {
+            name: "sweep",
+            range: next..next + n,
+            mode: Mode::Open(rate),
+            sample_every_ns: 0,
+            tag: 0,
+        };
+        next += n;
+        let p = run_phase(&s, w, &phase, None)?;
+        print_open(phase.name, &open_stats(&p, rate, fp.nproc));
+        tally.absorb(p, &mut got);
+    }
+    check_replies(&s, w, &got, &mut tally);
+    s.stop()?;
+    println!(
+        "check: {} records attempted, {} failed",
+        tally.attempted, tally.failed
+    );
+    match tally.first_failure {
+        Some(e) => Err(e),
+        None => Ok(()),
+    }
 }
 
 /// Sum of a `/debug/threads` counter over every reactor of every node.
@@ -267,46 +387,36 @@ fn run(a: &Args) -> Result<(), String> {
     );
 
     // 1. Set-up, repeated; the last one carries on.
-    let mut tally = Tally::default();
     let mut setup_times = Vec::new();
     let mut kept = None;
     for rep in 0..SETUP_REPEATS {
         let t0 = now_ns();
         let s = setup(w, a.seed, &bins, a.trace, snap_dir.as_deref())?;
-        let warm = run_phase(
-            &s,
-            w,
-            &Phase {
-                name: "warm",
-                range: 0..s.warm_end,
-                mode: Mode::Closed(w.window),
-                sample_every_ns: 0,
-                tag: 0,
-            },
-            None,
-        )?;
         setup_times.push((now_ns() - t0) as f64 / 1e9);
-        let mut got = vec![None; s.trace.recs.len()];
-        tally.absorb(warm, &mut got);
         if rep + 1 < SETUP_REPEATS {
-            check_replies(&s, w, &got, &mut tally);
-            drop(s.conns);
-            s.sut.stop().map_err(|e| format!("stopping the SUT: {e}"))?;
+            s.stop()?;
         } else {
-            kept = Some((s, got));
+            kept = Some(s);
         }
     }
-    let (s, mut got) = kept.expect("at least one set-up");
+    let s = kept.expect("at least one set-up");
     let setup_s = median(&mut setup_times.clone());
     let events = s.trace.recs.len();
     println!(
-        "setup_s {setup_s:.4} s (median of {SETUP_REPEATS}: {}) | trace {events} records, {} apps | warm replay {} records",
-        setup_times.iter().map(|t| format!("{t:.3}")).collect::<Vec<_>>().join(" "),
+        "setup_s {setup_s:.4} s (median of {SETUP_REPEATS}: {}) | trace {events} records, {} apps",
+        setup_times
+            .iter()
+            .map(|t| format!("{t:.3}"))
+            .collect::<Vec<_>>()
+            .join(" "),
         s.trace.names.len(),
-        s.warm_end
     );
 
-    // 2. Timed phases on consecutive slices.
+    // 2. Warm replay.
+    let mut tally = Tally::default();
+    let mut got = warm(&s, w, &mut tally)?;
+
+    // 3. Timed phases on consecutive slices.
     let secs = a.seconds as f64;
     let n_lo = (w.lo_rate * secs * OPEN_SHARE) as usize;
     let n_hi = (w.hi_rate * secs * OPEN_SHARE) as usize;
@@ -381,24 +491,7 @@ fn run(a: &Args) -> Result<(), String> {
         match phase.mode {
             Mode::Open(rate) => {
                 let st = open_stats(&p, rate, fp.nproc);
-                println!(
-                    "phase {:<9} offered {:>7.0}/s achieved {:>9.1}/s | {} records in {} units | p50 {:.1} us \
-                     p99 {:.1} us (median of {} calm of {} windows) | gen late p99 {:.1} us, cpu {:.2} | {}{}{}",
-                    phase.name,
-                    st.offered,
-                    st.achieved,
-                    st.records,
-                    st.units,
-                    st.p50_us,
-                    st.p99_us,
-                    st.calm,
-                    st.windows,
-                    st.late_p99_us,
-                    st.gen_cpu_frac,
-                    if st.meets_slo { "meets" } else { "misses" },
-                    if st.growing { ", backlog grows" } else { "" },
-                    if st.gen_bound { ", GENERATOR-BOUND (not server capacity)" } else { "" },
-                );
+                print_open(phase.name, &st);
                 open.insert(phase.name, st);
                 tally.absorb(p, &mut got);
             }
@@ -445,11 +538,11 @@ fn run(a: &Args) -> Result<(), String> {
         }
     }
 
-    // 3. The output check.
+    // 4. The output check.
     check_replies(&s, w, &got, &mut tally);
     let correct_check = corrupted_reference_is_caught(&s, w, &got, a.seed);
     let q_got = workload::quality(&s.trace, &got);
-    let all_ref: Vec<Option<Verdict>> = s.reference.iter().copied().map(Some).collect();
+    let all_ref: Vec<Option<Decision>> = s.reference.iter().copied().map(Some).collect();
     let q_ref = workload::quality(&s.trace, &all_ref);
     let quality_ok = q_got == q_ref;
     drop(s.conns);
@@ -669,7 +762,7 @@ const PER_LAYER: [(&str, &str); 42] = [
 ];
 
 /// Compares every reply with the reference; mismatches count as failed.
-fn check_replies(s: &Setup, w: &Workload, got: &[Option<Verdict>], tally: &mut Tally) {
+fn check_replies(s: &Setup, w: &Workload, got: &[Option<Decision>], tally: &mut Tally) {
     let bin = matches!(w.wire, Wire::Bin { .. });
     let bad = workload::mismatches(&s.reference, got, bin);
     if let Some(&i) = bad.first() {
@@ -687,7 +780,7 @@ fn check_replies(s: &Setup, w: &Workload, got: &[Option<Verdict>], tally: &mut T
 fn corrupted_reference_is_caught(
     s: &Setup,
     w: &Workload,
-    got: &[Option<Verdict>],
+    got: &[Option<Decision>],
     seed: u64,
 ) -> bool {
     let bin = matches!(w.wire, Wire::Bin { .. });

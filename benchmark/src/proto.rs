@@ -1,13 +1,14 @@
 //! Client side of the two wire protocols: request encoding and reply
-//! parsing, with every reply turned into a [`Verdict`] for the check.
+//! parsing, with every reply turned into a [`Decision`] for the check.
 
 use sitw_core::Windows;
+use sitw_serve::shard::Decision;
 use sitw_serve::wire::{self, BinReply, ServerFrameDecode};
 
-use crate::workload::{Trace, Verdict, Wire};
+use crate::workload::{Trace, Wire};
 
 /// The reply to one record: its verdict, or why it has none.
-pub type Reply = Result<Verdict, String>;
+pub type Reply = Result<Decision, String>;
 
 /// Appends one unit (a JSON request or a SITW-BIN frame) carrying the
 /// trace records `recs` to `out`. `tenant_ids[k]` is the wire id of
@@ -111,7 +112,7 @@ fn bin_reply(r: BinReply) -> Reply {
             kind,
             pre_warm_ms,
             keep_alive_ms,
-        } => Ok(Verdict {
+        } => Ok(Decision {
             cold,
             prewarm_load,
             evicted,
@@ -174,8 +175,8 @@ fn field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
 }
 
 /// Parses a `render_decision` body.
-fn parse_decision(body: &str) -> Option<Verdict> {
-    Some(Verdict {
+fn parse_decision(body: &str) -> Option<Decision> {
+    Some(Decision {
         cold: field(body, "\"verdict\":\"")? == "cold",
         prewarm_load: field(body, "\"prewarm_load\":")? == "true",
         evicted: field(body, "\"evicted\":")? == "true",
@@ -191,7 +192,6 @@ fn parse_decision(body: &str) -> Option<Verdict> {
 mod tests {
     use super::*;
     use sitw_core::DecisionKind;
-    use sitw_serve::shard::Decision;
 
     #[test]
     fn rendered_decisions_parse_back() {

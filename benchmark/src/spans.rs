@@ -68,6 +68,18 @@ pub fn parse_spans(body: &str) -> Vec<Span> {
         .collect()
 }
 
+/// Every stage a sampled request passes: the router hops when routed,
+/// then the node stages, in pipeline order.
+fn stage_names(routed: bool) -> Vec<&'static str> {
+    let hops: &[sitw_telemetry::Stage] = if routed { &ROUTER_STAGES } else { &[] };
+    hops.iter().chain(&STAGES).map(|s| s.name()).collect()
+}
+
+/// Pulls of one id while a stage is still missing: a process records a
+/// request's last span only after it wrote the reply the tracer reacts
+/// to, so the first pull can come too early.
+const PULL_TRIES: usize = 5;
+
 /// Starts the tracer: every id sent on the returned channel is looked up
 /// in `/debug/trace` of each target (the router, or every node) and its
 /// spans kept. Dropping the sender ends the thread, which returns them.
@@ -81,16 +93,26 @@ pub fn tracer(
     } else {
         "/debug/trace?format=json&n=512"
     };
+    let expected = stage_names(routed);
     let handle = std::thread::Builder::new()
         .name("bench-tracer".into())
         .spawn(move || {
             let mut kept = Vec::new();
             for id in rx {
-                for &t in &targets {
-                    if let Ok(body) = http_ok(t, "GET", path) {
-                        kept.extend(parse_spans(&body).into_iter().filter(|s| s.trace == id));
+                let mut spans: Vec<Span> = Vec::new();
+                for _ in 0..PULL_TRIES {
+                    spans.clear();
+                    for &t in &targets {
+                        if let Ok(body) = http_ok(t, "GET", path) {
+                            spans.extend(parse_spans(&body).into_iter().filter(|s| s.trace == id));
+                        }
                     }
+                    if expected.iter().all(|n| spans.iter().any(|s| s.stage == *n)) {
+                        break;
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
                 }
+                kept.extend(spans);
             }
             kept
         })
@@ -145,8 +167,7 @@ pub fn attribute(client: &[ClientSpan], spans: &[Span], routed: bool) -> Attribu
     for s in spans {
         by_trace.entry(s.trace).or_default().push(s);
     }
-    let hops: &[sitw_telemetry::Stage] = if routed { &ROUTER_STAGES } else { &[] };
-    let names: Vec<&'static str> = hops.iter().chain(&STAGES).map(|s| s.name()).collect();
+    let names = stage_names(routed);
     let mut sums = vec![0f64; names.len()];
     let mut a = Attribution {
         sampled: client.len(),

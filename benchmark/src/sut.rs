@@ -11,7 +11,7 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::clock::{stat_ticks, NS_PER_TICK};
+use crate::clock::run_ns;
 use crate::workload::Workload;
 
 /// Shards per node: one per core of the 2-vCPU reference machine.
@@ -248,25 +248,24 @@ impl Sut {
             .collect()
     }
 
-    /// CPU time of every process and thread, right now.
+    /// CPU time of every live thread of every process, right now, ns.
+    /// A thread that has ended no longer counts, so a reading spans only
+    /// long-lived threads; the SUT's workers all live for the whole run.
     pub fn cpu(&self) -> CpuSample {
         let mut s = CpuSample::default();
         for p in &self.procs {
-            let pid = p.pid();
-            let ticks = stat_ticks(&format!("/proc/{pid}/stat")).unwrap_or(0);
-            *s.by_role.entry(role_name(p.role)).or_default() += ticks * NS_PER_TICK;
-            s.total_ns += ticks * NS_PER_TICK;
-            let Ok(tasks) = std::fs::read_dir(format!("/proc/{pid}/task")) else {
+            let Ok(tasks) = std::fs::read_dir(format!("/proc/{}/task", p.pid())) else {
                 continue;
             };
             for t in tasks.flatten() {
                 let dir = t.path();
+                let ns = run_ns(&dir.join("schedstat").to_string_lossy()).unwrap_or(0);
+                *s.by_role.entry(role_name(p.role)).or_default() += ns;
+                s.total_ns += ns;
                 let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
-                let Some(group) = thread_group(comm.trim()) else {
-                    continue;
-                };
-                let ticks = stat_ticks(&dir.join("stat").to_string_lossy()).unwrap_or(0);
-                *s.by_thread.entry(group).or_default() += ticks * NS_PER_TICK;
+                if let Some(group) = thread_group(comm.trim()) {
+                    *s.by_thread.entry(group).or_default() += ns;
+                }
             }
         }
         s

@@ -9,6 +9,7 @@
 
 use sitw_core::{DecisionKind, PolicySpec, Windows, MINUTE_MS};
 use sitw_fleet::{fnv1a, mix64, TenantRegistry};
+use sitw_serve::shard::Decision;
 use sitw_sim::{fleet_verdict_trace, verdict_trace, FleetEvent};
 use sitw_trace::{app_invocations, build_population, PopulationConfig, TraceConfig, DAY_MS};
 
@@ -37,6 +38,10 @@ pub struct Workload {
     pub days: u64,
     /// Per-app daily invocation cap.
     pub cap_per_day: f64,
+    /// The trace is cut after this many records, so every seed gives the
+    /// set-up and the phases the same amount of work (uncut, the record
+    /// count varies by a third between seeds).
+    pub max_records: usize,
     /// Zipf(1.0) tenants the apps are spread over; 0 = untenanted.
     pub tenants: usize,
     /// Wire protocol.
@@ -62,12 +67,13 @@ pub const WORKLOADS: [Workload; 3] = [
         apps: 300,
         days: 9,
         cap_per_day: 1_000.0,
+        max_records: 800_000,
         tenants: 0,
         wire: Wire::Json,
         routed: false,
         warm_days: 1,
-        lo_rate: 5_000.0,
-        hi_rate: 20_000.0,
+        lo_rate: 10_000.0,
+        hi_rate: 50_000.0,
         window: 128,
     },
     Workload {
@@ -75,25 +81,27 @@ pub const WORKLOADS: [Workload; 3] = [
         apps: 4_000,
         days: 7,
         cap_per_day: 50.0,
+        max_records: 1_700_000,
         tenants: 4,
         wire: Wire::Bin { batch: 128 },
         routed: false,
         warm_days: 2,
         lo_rate: 20_000.0,
-        hi_rate: 60_000.0,
+        hi_rate: 200_000.0,
         window: 16,
     },
     Workload {
         name: "routed-repl",
         apps: 300,
-        days: 12,
+        days: 16,
         cap_per_day: 1_000.0,
+        max_records: 1_400_000,
         tenants: 4,
         wire: Wire::Bin { batch: 16 },
         routed: true,
         warm_days: 1,
         lo_rate: 5_000.0,
-        hi_rate: 20_000.0,
+        hi_rate: 200_000.0,
         window: 64,
     },
 ];
@@ -131,29 +139,12 @@ pub struct Trace {
     pub gen_ns: u64,
 }
 
-/// The verdict of one record, as the offline reference or a reply has it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Verdict {
-    /// The invocation found no loaded image.
-    pub cold: bool,
-    /// A pre-warm load happened in the gap that ended here.
-    pub prewarm_load: bool,
-    /// The image was evicted for memory pressure during the gap.
-    pub evicted: bool,
-    /// The policy branch that produced the windows.
-    pub kind: DecisionKind,
-    /// The windows governing the next gap.
-    pub windows: Windows,
-}
-
-impl Verdict {
-    /// The verdict as a SITW-BIN reply carries it: windows saturate at
-    /// `u32::MAX` ms.
-    pub fn on_bin_wire(mut self) -> Verdict {
-        self.windows.pre_warm_ms = self.windows.pre_warm_ms.min(u32::MAX as u64);
-        self.windows.keep_alive_ms = self.windows.keep_alive_ms.min(u32::MAX as u64);
-        self
-    }
+/// A verdict as a SITW-BIN reply carries it: windows saturate at
+/// `u32::MAX` ms.
+pub fn on_bin_wire(mut d: Decision) -> Decision {
+    d.windows.pre_warm_ms = d.windows.pre_warm_ms.min(u32::MAX as u64);
+    d.windows.keep_alive_ms = d.windows.keep_alive_ms.min(u32::MAX as u64);
+    d
 }
 
 /// Wire name of app `i` (the same names `sitw-loadgen` sends).
@@ -176,7 +167,7 @@ fn tenant_index(name: &str, n: usize, s: f64) -> usize {
     n - 1
 }
 
-/// Builds the workload's trace for `seed`.
+/// Builds the workload's trace for `seed`, cut after `max_records`.
 pub fn generate(w: &Workload, seed: u64) -> Trace {
     let t0 = now_ns();
     let population = build_population(&PopulationConfig {
@@ -208,6 +199,7 @@ pub fn generate(w: &Workload, seed: u64) -> Trace {
     }
     let gen_ns = now_ns() - t0;
     recs.sort_unstable_by_key(|r| (r.ts, r.app));
+    recs.truncate(w.max_records);
     Trace {
         names,
         recs,
@@ -227,7 +219,7 @@ pub fn registry(tenants: usize) -> TenantRegistry {
 }
 
 /// The offline reference: one verdict per record, in trace order.
-pub fn reference(w: &Workload, trace: &Trace) -> Result<Vec<Verdict>, String> {
+pub fn reference(w: &Workload, trace: &Trace) -> Result<Vec<Decision>, String> {
     if w.tenants == 0 {
         let mut by_app: Vec<Vec<usize>> = vec![Vec::new(); trace.names.len()];
         for (i, r) in trace.recs.iter().enumerate() {
@@ -241,7 +233,7 @@ pub fn reference(w: &Workload, trace: &Trace) -> Result<Vec<Verdict>, String> {
             ts.extend(idx.iter().map(|&i| trace.recs[i].ts));
             let mut p = spec.new_policy();
             for (&i, v) in idx.iter().zip(verdict_trace(&ts, &mut *p)) {
-                out[i] = Some(Verdict {
+                out[i] = Some(Decision {
                     cold: v.cold,
                     prewarm_load: v.prewarm_load,
                     evicted: false,
@@ -268,7 +260,7 @@ pub fn reference(w: &Workload, trace: &Trace) -> Result<Vec<Verdict>, String> {
         fleet_verdict_trace(&events, &reg)
             .into_iter()
             .map(|v| {
-                v.map(|v| Verdict {
+                v.map(|v| Decision {
                     cold: v.cold,
                     prewarm_load: v.prewarm_load,
                     evicted: v.evicted,
@@ -321,7 +313,7 @@ pub fn kind_index(kind: DecisionKind) -> usize {
 /// Folds a verdict stream (indexed like `trace.recs`; `None` = no reply)
 /// into its quality figures. Each gap is classified by the windows the
 /// app's previous reply set, through `Windows::classify_gap`.
-pub fn quality(trace: &Trace, verdicts: &[Option<Verdict>]) -> Quality {
+pub fn quality(trace: &Trace, verdicts: &[Option<Decision>]) -> Quality {
     let fixed = Windows::keep_loaded(10 * MINUTE_MS);
     let mut last: Vec<Option<(u64, Windows)>> = vec![None; trace.names.len()];
     let mut q = Quality::default();
@@ -343,13 +335,13 @@ pub fn quality(trace: &Trace, verdicts: &[Option<Verdict>]) -> Quality {
 
 /// Indices of records whose reply differs from the reference (a missing
 /// reply is not a mismatch; it is counted as a failure elsewhere).
-pub fn mismatches(reference: &[Verdict], got: &[Option<Verdict>], bin: bool) -> Vec<usize> {
+pub fn mismatches(reference: &[Decision], got: &[Option<Decision>], bin: bool) -> Vec<usize> {
     reference
         .iter()
         .zip(got)
         .enumerate()
         .filter_map(|(i, (want, got))| {
-            let want = if bin { want.on_bin_wire() } else { *want };
+            let want = if bin { on_bin_wire(*want) } else { *want };
             match got {
                 Some(g) if *g != want => Some(i),
                 _ => None,
@@ -373,7 +365,7 @@ mod tests {
         let trace = generate(&small, 7);
         let a = reference(&small, &trace).unwrap();
         assert_eq!(a, reference(&small, &generate(&small, 7)).unwrap());
-        let got: Vec<Option<Verdict>> = a.iter().copied().map(Some).collect();
+        let got: Vec<Option<Decision>> = a.iter().copied().map(Some).collect();
         assert!(mismatches(&a, &got, false).is_empty());
         let mut corrupted = a.clone();
         corrupted[3].cold = !corrupted[3].cold;
