@@ -14,6 +14,8 @@
 //!    IT (rounded up, +10% margin). A head that rounds to zero disables
 //!    unloading (Figure 12, middle column).
 
+use std::collections::VecDeque;
+
 use sitw_arima::{auto_arima, AutoArimaConfig};
 use sitw_stats::RangeHistogram;
 
@@ -172,8 +174,9 @@ impl DecisionCounts {
 pub struct HybridPolicy {
     config: HybridConfig,
     hist: RangeHistogram,
-    /// Recent ITs in minutes (for the ARIMA path), most recent last.
-    history: Vec<f64>,
+    /// Recent ITs in minutes (for the ARIMA path), most recent last;
+    /// a ring of at most `history_cap` entries.
+    history: VecDeque<f64>,
     counts: DecisionCounts,
     last_decision: DecisionKind,
 }
@@ -187,7 +190,7 @@ impl HybridPolicy {
         Self {
             config,
             hist,
-            history: Vec::new(),
+            history: VecDeque::new(),
             counts: DecisionCounts::default(),
             last_decision: DecisionKind::StandardKeepAlive,
         }
@@ -226,7 +229,7 @@ impl HybridPolicy {
         if self.history.len() < self.config.arima_min_history {
             return None;
         }
-        let fit = auto_arima(&self.history, self.config.arima).ok()?;
+        let fit = auto_arima(self.history.make_contiguous(), self.config.arima).ok()?;
         let pred_minutes = fit.forecast_one();
         if !pred_minutes.is_finite() || pred_minutes < 1.0 {
             return None;
@@ -243,8 +246,9 @@ impl HybridPolicy {
     /// The histogram branch: head/tail cutoffs with margins and the
     /// paper's rounding rule.
     fn histogram_windows(&mut self) -> Option<Windows> {
-        let head_min = self.hist.head_value(self.config.head_percentile)?;
-        let tail_min = self.hist.tail_value(self.config.tail_percentile)?;
+        let (head_min, tail_min) = self
+            .hist
+            .head_tail_values(self.config.head_percentile, self.config.tail_percentile)?;
         let head_ms = (head_min as f64 * (1.0 - self.config.head_margin)) * MINUTE_MS as f64;
         let tail_ms = (tail_min as f64 * (1.0 + self.config.tail_margin)) * MINUTE_MS as f64;
         let windows = if head_min == 0 || !self.config.pre_warming {
@@ -290,7 +294,7 @@ impl HybridPolicy {
         HybridSnapshot {
             bins: self.hist.bins().to_vec(),
             oob_count: self.hist.oob_count(),
-            history: self.history.clone(),
+            history: self.history.iter().copied().collect(),
             counts: self.counts,
             last_decision: self.last_decision,
         }
@@ -323,7 +327,7 @@ impl HybridPolicy {
         Ok(Self {
             config,
             hist,
-            history: snap.history,
+            history: snap.history.into(),
             counts: snap.counts,
             last_decision: snap.last_decision,
         })
@@ -337,9 +341,9 @@ impl AppPolicy for HybridPolicy {
             self.hist.record(it / MINUTE_MS);
             let minutes = it as f64 / MINUTE_MS as f64;
             if self.history.len() == self.config.history_cap {
-                self.history.remove(0);
+                self.history.pop_front();
             }
-            self.history.push(minutes);
+            self.history.push_back(minutes);
         }
 
         // Not enough data yet: be conservative.

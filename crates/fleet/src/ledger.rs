@@ -15,6 +15,24 @@
 //!   (ties by app id), through the shared [`crate::evict_until`] engine
 //!   ported from `platform::cluster::make_room`.
 //!
+//! **Layout.** Each app name is interned once into a dense [`AppSlot`];
+//! per-app state lives in a `Vec` indexed by slot, so a charge by slot
+//! ([`TenantLedger::charge_slot`]) hashes nothing and allocates nothing.
+//! The expiry queue holds `(expiry, slot)` with **one entry per warm
+//! app**, keyed at or before the app's true expiry:
+//!
+//! * a re-charge that moves the expiry later leaves the queued entry
+//!   alone; when that entry surfaces early it is re-keyed to the true
+//!   expiry instead of expiring the app;
+//! * only a re-charge that moves the expiry *earlier* queues a new entry,
+//!   and the superseded one is skipped when it surfaces.
+//!
+//! The queue orders by slot within one expiry, not by name, so the
+//! budget victim — earliest true expiry, then smallest app id — is
+//! picked by comparing names among the equal-expiry candidates when a
+//! victim is popped. Expiries at one instant need no tie rule: they
+//! leave the integral unchanged whatever their order.
+//!
 //! Everything is integer-valued and ordered deterministically, so a
 //! ledger replayed from the same event stream — online, offline, or
 //! across a snapshot/restore with a different shard layout — produces
@@ -25,16 +43,10 @@ use std::collections::{BinaryHeap, HashMap};
 
 use crate::evict::evict_until;
 
-/// One warm container's charge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarmEntry {
-    /// Absolute time the keep-alive lapses (the image unloads).
-    pub expiry_ms: u64,
-    /// Charged footprint in MB.
-    pub mb: u64,
-    /// Lazy-deletion generation for the expiry heap (not persisted).
-    gen: u64,
-}
+/// Dense handle of an app name interned in one [`TenantLedger`]. Slots
+/// are assigned in first-sight order and never reused or freed, so a
+/// caller may cache one for as long as it holds the ledger.
+pub type AppSlot = u32;
 
 /// A point-in-time summary of one ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,20 +74,41 @@ pub struct LedgerExport {
     pub cursor_ms: u64,
 }
 
+/// One interned app's charge.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    warm: bool,
+    /// Absolute time the keep-alive lapses (the image unloads).
+    expiry_ms: u64,
+    /// Charged footprint in MB.
+    mb: u64,
+    /// Key of the app's live queue entry (`<= expiry_ms` while warm).
+    queued_ms: u64,
+}
+
 /// Per-tenant warm-memory ledger with budgeted eviction.
 #[derive(Debug)]
 pub struct TenantLedger {
     /// Budget in MB; 0 = unlimited (accounting only, never evicts).
     budget_mb: u64,
     warm_mb: u64,
+    warm_apps: u64,
     evictions: u64,
     idle_mb_ms: u64,
     cursor_ms: u64,
-    warm: HashMap<String, WarmEntry>,
-    /// Earliest-expiry queue with lazy deletion: `(expiry, app, gen)`;
-    /// an entry is live iff its gen matches the map's.
-    heap: BinaryHeap<Reverse<(u64, String, u64)>>,
-    next_gen: u64,
+    /// Slot → app name.
+    names: Vec<Box<str>>,
+    /// App name → slot.
+    index: HashMap<Box<str>, AppSlot>,
+    /// Slot → charge.
+    slots: Vec<Slot>,
+    /// Earliest-expiry queue of `(key, slot)`; an entry is live iff its
+    /// slot is warm and queued under that key.
+    heap: BinaryHeap<Reverse<(u64, AppSlot)>>,
+    /// Victims of the latest charge, in eviction order.
+    evicted: Vec<AppSlot>,
+    /// Equal-expiry victim candidates (scratch).
+    ties: Vec<AppSlot>,
 }
 
 impl TenantLedger {
@@ -84,12 +117,16 @@ impl TenantLedger {
         Self {
             budget_mb,
             warm_mb: 0,
+            warm_apps: 0,
             evictions: 0,
             idle_mb_ms: 0,
             cursor_ms: 0,
-            warm: HashMap::new(),
+            names: Vec::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
             heap: BinaryHeap::new(),
-            next_gen: 0,
+            evicted: Vec::new(),
+            ties: Vec::new(),
         }
     }
 
@@ -107,6 +144,28 @@ impl TenantLedger {
         self.budget_mb = budget_mb;
     }
 
+    /// The slot of `app`, interning the name on first sight (the only
+    /// allocation the ledger makes per app).
+    pub fn slot(&mut self, app: &str) -> AppSlot {
+        if let Some(&slot) = self.index.get(app) {
+            return slot;
+        }
+        let slot = AppSlot::try_from(self.names.len()).expect("fewer than 2^32 apps per tenant");
+        self.names.push(app.into());
+        self.index.insert(app.into(), slot);
+        self.slots.push(Slot::default());
+        slot
+    }
+
+    /// The app name interned at `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slot` was not issued by this ledger.
+    pub fn name(&self, slot: AppSlot) -> &str {
+        &self.names[slot as usize]
+    }
+
     /// Advances the clock to `now`: processes keep-alive expiries at
     /// their true times (each contributes to the integral up to its
     /// expiry) and extends the integral to `now`.
@@ -115,22 +174,25 @@ impl TenantLedger {
     /// [`sitw_core::Windows::classify_gap`], where an idle gap equal to
     /// the keep-alive window is still a warm hit.
     pub fn advance(&mut self, now_ms: u64) {
-        while let Some(Reverse((expiry, _, _))) = self.heap.peek() {
-            if *expiry >= now_ms {
+        while let Some(&Reverse((key, slot))) = self.heap.peek() {
+            if key >= now_ms {
                 break;
             }
-            let Reverse((expiry, app, gen)) = self.heap.pop().expect("peeked");
-            let live = self.warm.get(&app).is_some_and(|e| e.gen == gen);
-            if !live {
-                continue; // Superseded by a fresher charge.
+            self.heap.pop();
+            match self.live(key, slot) {
+                Some(true) => {
+                    let dt = key.saturating_sub(self.cursor_ms);
+                    self.idle_mb_ms = self
+                        .idle_mb_ms
+                        .saturating_add(self.warm_mb.saturating_mul(dt));
+                    self.cursor_ms = self.cursor_ms.max(key);
+                    self.release(slot);
+                }
+                // Re-charged to a later expiry since it was queued.
+                Some(false) => self.rekey(slot),
+                // Superseded by an earlier-expiring charge.
+                None => {}
             }
-            let dt = expiry.saturating_sub(self.cursor_ms);
-            self.idle_mb_ms = self
-                .idle_mb_ms
-                .saturating_add(self.warm_mb.saturating_mul(dt));
-            self.cursor_ms = self.cursor_ms.max(expiry);
-            let entry = self.warm.remove(&app).expect("live entry");
-            self.warm_mb -= entry.mb;
         }
         let dt = now_ms.saturating_sub(self.cursor_ms);
         self.idle_mb_ms = self
@@ -163,57 +225,137 @@ impl TenantLedger {
     ///   tenant's events to arrive in timestamp order — true for any
     ///   single connection (the parity tests), not guaranteed when one
     ///   tenant's apps are spread across concurrent connections.
+    ///
+    /// Callers on a hot path intern once with [`TenantLedger::slot`] and
+    /// use [`TenantLedger::charge_slot`] instead.
     pub fn charge(&mut self, app: &str, now_ms: u64, expiry_ms: u64, mb: u64) -> Vec<String> {
-        self.advance(now_ms);
-        if let Some(prev) = self.warm.get(app) {
-            // Re-charge: the previous interval's integral is already
-            // accounted up to `now`; only the footprint swaps.
-            self.warm_mb -= prev.mb;
-        }
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        self.warm.insert(
-            app.to_owned(),
-            WarmEntry {
-                expiry_ms: expiry_ms.max(now_ms),
-                mb,
-                gen,
-            },
-        );
-        self.warm_mb += mb;
-        self.heap
-            .push(Reverse((expiry_ms.max(now_ms), app.to_owned(), gen)));
+        let slot = self.slot(app);
+        self.charge_slot(slot, now_ms, expiry_ms, mb);
+        self.evicted
+            .iter()
+            .map(|&victim| self.name(victim).to_owned())
+            .collect()
+    }
 
-        let mut evicted = Vec::new();
+    /// [`TenantLedger::charge`] by interned slot: hashes nothing and, once
+    /// the queue and scratch buffers have grown, allocates nothing. The
+    /// victims are left in [`TenantLedger::evicted`]. A slot this ledger
+    /// did not issue is ignored.
+    // sitw-lint: hot-path
+    pub fn charge_slot(&mut self, slot: AppSlot, now_ms: u64, expiry_ms: u64, mb: u64) {
+        self.evicted.clear();
+        self.advance(now_ms);
+        let expiry_ms = expiry_ms.max(now_ms);
+        let Some(s) = self.slots.get_mut(slot as usize) else {
+            return;
+        };
+        if s.warm {
+            // Re-charge: the previous interval's integral is already
+            // accounted up to `now`; only the footprint swaps. A later
+            // expiry keeps its queued entry (re-keyed when it surfaces).
+            self.warm_mb -= s.mb;
+            if expiry_ms < s.queued_ms {
+                s.queued_ms = expiry_ms;
+                self.heap.push(Reverse((expiry_ms, slot)));
+            }
+        } else {
+            s.warm = true;
+            s.queued_ms = expiry_ms;
+            self.warm_apps += 1;
+            self.heap.push(Reverse((expiry_ms, slot)));
+        }
+        s.expiry_ms = expiry_ms;
+        s.mb = mb;
+        self.warm_mb += mb;
+
         if self.budget_mb == 0 {
-            return evicted;
+            return;
         }
         // The budgeted-eviction engine shared with the platform's
         // invoker pool: victims by earliest keep-alive expiry.
         evict_until(
             self,
             |l| l.warm_mb <= l.budget_mb,
-            |l| loop {
-                let Reverse((_, app, gen)) = l.heap.pop()?;
-                if l.warm.get(&app).is_some_and(|e| e.gen == gen) {
-                    return Some(app);
-                }
-            },
+            TenantLedger::pop_victim,
             |l, victim| {
-                let entry = l.warm.remove(&victim).expect("live victim");
-                l.warm_mb -= entry.mb;
+                l.release(victim);
                 l.evictions += 1;
-                evicted.push(victim);
+                l.evicted.push(victim);
             },
         );
-        evicted
+    }
+
+    /// The victims of the most recent charge, in eviction order.
+    pub fn evicted(&self) -> &[AppSlot] {
+        &self.evicted
+    }
+
+    /// Pops the warm app with the earliest true expiry, ties by smallest
+    /// name; `None` when nothing is warm.
+    fn pop_victim(&mut self) -> Option<AppSlot> {
+        // Pop in key order: drop superseded entries and re-key early
+        // ones until the head is live and due, then gather every live
+        // entry due at that same expiry.
+        self.ties.clear();
+        let mut expiry = None;
+        while let Some(&Reverse((key, slot))) = self.heap.peek() {
+            if expiry.is_some_and(|e| e != key) {
+                break;
+            }
+            self.heap.pop();
+            match self.live(key, slot) {
+                Some(true) => {
+                    expiry = Some(key);
+                    self.ties.push(slot);
+                }
+                Some(false) => self.rekey(slot),
+                None => {}
+            }
+        }
+        let expiry = expiry?;
+        let names = &self.names;
+        let victim = *self
+            .ties
+            .iter()
+            .min_by(|a, b| names[**a as usize].cmp(&names[**b as usize]))?;
+        for &slot in &self.ties {
+            if slot != victim {
+                self.heap.push(Reverse((expiry, slot)));
+            }
+        }
+        Some(victim)
+    }
+
+    /// Whether the queue entry `(key, slot)` is live: `None` when
+    /// superseded, `Some(true)` when due at `key`, `Some(false)` when the
+    /// app was re-charged to a later expiry since it was queued.
+    fn live(&self, key: u64, slot: AppSlot) -> Option<bool> {
+        let s = self.slots.get(slot as usize)?;
+        (s.warm && s.queued_ms == key).then_some(s.expiry_ms == key)
+    }
+
+    /// Drops a warm slot's charge (its queue entry is already popped).
+    fn release(&mut self, slot: AppSlot) {
+        if let Some(s) = self.slots.get_mut(slot as usize) {
+            s.warm = false;
+            self.warm_mb -= s.mb;
+            self.warm_apps -= 1;
+        }
+    }
+
+    /// Re-queues a popped live entry under its slot's true expiry.
+    fn rekey(&mut self, slot: AppSlot) {
+        if let Some(s) = self.slots.get_mut(slot as usize) {
+            s.queued_ms = s.expiry_ms;
+            self.heap.push(Reverse((s.expiry_ms, slot)));
+        }
     }
 
     /// The current summary.
     pub fn stats(&self) -> LedgerStats {
         LedgerStats {
             warm_mb: self.warm_mb,
-            warm_apps: self.warm.len() as u64,
+            warm_apps: self.warm_apps,
             evictions: self.evictions,
             idle_mb_ms: self.idle_mb_ms,
         }
@@ -222,9 +364,11 @@ impl TenantLedger {
     /// Exports the persistable state (warm set sorted by app id).
     pub fn export(&self) -> LedgerExport {
         let mut warm: Vec<(String, u64, u64)> = self
-            .warm
+            .slots
             .iter()
-            .map(|(app, e)| (app.clone(), e.expiry_ms, e.mb))
+            .zip(&self.names)
+            .filter(|(s, _)| s.warm)
+            .map(|(s, app)| (app.to_string(), s.expiry_ms, s.mb))
             .collect();
         warm.sort();
         LedgerExport {
@@ -245,11 +389,16 @@ impl TenantLedger {
         ledger.idle_mb_ms = export.idle_mb_ms;
         ledger.cursor_ms = export.cursor_ms;
         for (app, expiry_ms, mb) in export.warm {
-            let gen = ledger.next_gen;
-            ledger.next_gen += 1;
+            let slot = ledger.slot(&app);
+            ledger.slots[slot as usize] = Slot {
+                warm: true,
+                expiry_ms,
+                mb,
+                queued_ms: expiry_ms,
+            };
             ledger.warm_mb += mb;
-            ledger.heap.push(Reverse((expiry_ms, app.clone(), gen)));
-            ledger.warm.insert(app, WarmEntry { expiry_ms, mb, gen });
+            ledger.warm_apps += 1;
+            ledger.heap.push(Reverse((expiry_ms, slot)));
         }
         ledger
     }

@@ -56,7 +56,7 @@ pub mod sim;
 
 pub use evict::evict_until;
 pub use footprint::footprint_mb;
-pub use ledger::{LedgerExport, LedgerStats, TenantLedger, WarmEntry};
+pub use ledger::{AppSlot, LedgerExport, LedgerStats, TenantLedger};
 pub use qos::{Admission, QosClass, QosPolicy, RateLimit, TokenBucket};
 pub use registry::{TenantId, TenantRegistry, TenantSpec, DEFAULT_TENANT, DEFAULT_TENANT_NAME};
 pub use sim::{fleet_verdict_trace, FleetError, FleetEvent, FleetSim, FleetVerdict};

@@ -21,13 +21,13 @@
 //!    Burr footprint; any victims the budget forces out are marked
 //!    evicted for *their* next invocation.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 use sitw_core::{AppKey, AppPolicy, DecisionKind, PolicySpec, ProductionManager, Windows};
 
 use crate::footprint::footprint_mb;
 use crate::ledger::TenantLedger;
-use crate::registry::{TenantId, TenantRegistry};
+use crate::registry::{TenantId, TenantRegistry, TenantSpec};
 
 /// One invocation of the merged multi-tenant stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,11 +72,8 @@ pub enum FleetError {
 /// Per-app offline state.
 struct AppSim {
     /// Per-app policy instance (`None` in production mode, where state
-    /// lives in the tenant's manager).
+    /// lives in the tenant's manager under the app's ledger slot).
     policy: Option<Box<dyn AppPolicy + Send>>,
-    /// Key into the tenant's production manager (production mode only).
-    prod_key: AppKey,
-    last_kind: DecisionKind,
     windows: Windows,
     last_ts: u64,
     /// The image was evicted during the gap in progress.
@@ -86,91 +83,59 @@ struct AppSim {
     footprint_mb: u64,
 }
 
-/// Per-tenant offline state.
+/// Per-tenant offline state. Tenants share nothing, so each one replays
+/// independently of the others.
 struct TenantSim {
     name: String,
     policy: PolicySpec,
     ledger: TenantLedger,
-    apps: HashMap<String, AppSim>,
+    /// Per-app state by ledger slot: the ledger interns every app this
+    /// tenant has seen, in first-sight order.
+    apps: Vec<AppSim>,
     /// `Some` iff `policy` is [`PolicySpec::Production`].
     production: Option<ProductionManager>,
-    next_key: AppKey,
 }
 
-/// The offline multi-tenant replay engine.
-pub struct FleetSim {
-    tenants: HashMap<TenantId, TenantSim>,
-}
-
-impl FleetSim {
-    /// Builds a simulator for every tenant in `registry`.
-    pub fn new(registry: &TenantRegistry) -> Self {
-        let tenants = registry
-            .tenants()
-            .iter()
-            .map(|spec| {
-                let production = match &spec.policy {
-                    PolicySpec::Production(cfg) => Some(ProductionManager::new(*cfg)),
-                    _ => None,
-                };
-                (
-                    spec.id,
-                    TenantSim {
-                        name: spec.name.clone(),
-                        policy: spec.policy.clone(),
-                        ledger: TenantLedger::new(spec.budget_mb),
-                        apps: HashMap::new(),
-                        production,
-                        next_key: 0,
-                    },
-                )
-            })
-            .collect();
-        Self { tenants }
+impl TenantSim {
+    fn new(spec: &TenantSpec) -> Self {
+        let production = match &spec.policy {
+            PolicySpec::Production(cfg) => Some(ProductionManager::new(*cfg)),
+            _ => None,
+        };
+        TenantSim {
+            name: spec.name.clone(),
+            policy: spec.policy.clone(),
+            ledger: TenantLedger::new(spec.budget_mb),
+            apps: Vec::new(),
+            production,
+        }
     }
 
-    /// Replays one invocation.
-    pub fn step(
-        &mut self,
-        tenant: TenantId,
-        app: &str,
-        ts: u64,
-    ) -> Result<FleetVerdict, FleetError> {
-        let t = self
-            .tenants
-            .get_mut(&tenant)
-            .ok_or(FleetError::UnknownTenant(tenant))?;
-
-        let (verdict, mb) = match t.apps.get_mut(app) {
+    fn step(&mut self, app: &str, ts: u64) -> Result<FleetVerdict, FleetError> {
+        let slot = self.ledger.slot(app);
+        let (verdict, mb) = match self.apps.get_mut(slot as usize) {
             None => {
                 // First invocation: cold by definition (§5.1).
-                let (policy, prod_key, windows, kind) = match &mut t.production {
+                let (policy, windows, kind) = match &mut self.production {
                     Some(manager) => {
-                        let key = t.next_key;
-                        t.next_key += 1;
-                        let (windows, kind) = manager.on_invocation(key, ts, None);
-                        (None, key, windows, kind)
+                        let (windows, kind) = manager.on_invocation(AppKey::from(slot), ts, None);
+                        (None, windows, kind)
                     }
                     None => {
-                        let mut policy = t.policy.new_policy();
+                        let mut policy = self.policy.new_policy();
                         let windows = policy.on_invocation(None);
                         let kind = policy.last_decision();
-                        (Some(policy), 0, windows, kind)
+                        (Some(policy), windows, kind)
                     }
                 };
-                let mb = footprint_mb(&t.name, app);
-                t.apps.insert(
-                    app.to_owned(),
-                    AppSim {
-                        policy,
-                        prod_key,
-                        last_kind: kind,
-                        windows,
-                        last_ts: ts,
-                        evicted: false,
-                        footprint_mb: mb,
-                    },
-                );
+                let mb = footprint_mb(&self.name, app);
+                self.apps.push(AppSim {
+                    policy,
+                    windows,
+                    last_ts: ts,
+                    evicted: false,
+                    footprint_mb: mb,
+                });
                 (
                     FleetVerdict {
                         cold: true,
@@ -192,8 +157,8 @@ impl FleetSim {
                 let outcome = state.windows.classify_gap(idle);
                 let was_evicted = state.evicted;
                 state.evicted = false;
-                let (windows, kind) = match (&mut t.production, &mut state.policy) {
-                    (Some(manager), _) => manager.on_invocation(state.prod_key, ts, Some(idle)),
+                let (windows, kind) = match (&mut self.production, &mut state.policy) {
+                    (Some(manager), _) => manager.on_invocation(AppKey::from(slot), ts, Some(idle)),
                     (None, Some(policy)) => {
                         let windows = policy.on_invocation(Some(idle));
                         (windows, policy.last_decision())
@@ -201,7 +166,6 @@ impl FleetSim {
                     (None, None) => unreachable!("non-production app has a policy"),
                 };
                 state.windows = windows;
-                state.last_kind = kind;
                 state.last_ts = ts;
                 (
                     FleetVerdict {
@@ -219,17 +183,44 @@ impl FleetSim {
         // Charge the ledger and apply budget pressure. The just-invoked
         // app can itself be the victim when its footprint cannot fit.
         let expiry = verdict.windows.loaded_until(ts);
-        for victim in t.ledger.charge(app, ts, expiry, mb) {
-            if let Some(v) = t.apps.get_mut(&victim) {
-                v.evicted = true;
-            }
+        self.ledger.charge_slot(slot, ts, expiry, mb);
+        for &victim in self.ledger.evicted() {
+            self.apps[victim as usize].evicted = true;
         }
         Ok(verdict)
+    }
+}
+
+/// The offline multi-tenant replay engine.
+pub struct FleetSim {
+    /// Per-tenant state by (dense) tenant id.
+    tenants: Vec<TenantSim>,
+}
+
+impl FleetSim {
+    /// Builds a simulator for every tenant in `registry`.
+    pub fn new(registry: &TenantRegistry) -> Self {
+        Self {
+            tenants: registry.tenants().iter().map(TenantSim::new).collect(),
+        }
+    }
+
+    /// Replays one invocation.
+    pub fn step(
+        &mut self,
+        tenant: TenantId,
+        app: &str,
+        ts: u64,
+    ) -> Result<FleetVerdict, FleetError> {
+        self.tenants
+            .get_mut(tenant as usize)
+            .ok_or(FleetError::UnknownTenant(tenant))?
+            .step(app, ts)
     }
 
     /// The ledger of one tenant (stats/assertions).
     pub fn ledger(&self, tenant: TenantId) -> Option<&TenantLedger> {
-        self.tenants.get(&tenant).map(|t| &t.ledger)
+        self.tenants.get(tenant as usize).map(|t| &t.ledger)
     }
 }
 
@@ -238,15 +229,77 @@ impl FleetSim {
 /// daemon (`sitw_serve`). Timestamps must be monotone non-decreasing per
 /// `(tenant, app)`; violations surface as [`FleetError::OutOfOrder`],
 /// exactly like the daemon's 409.
+///
+/// Tenants share no state, so the stream is partitioned by tenant and
+/// the tenants are replayed on up to `available_parallelism()` scoped
+/// threads, largest first onto the least-loaded worker. Each tenant
+/// still sees its own events in stream order, so the result equals a
+/// sequential [`FleetSim::step`] loop exactly.
 pub fn fleet_verdict_trace(
     events: &[FleetEvent],
     registry: &TenantRegistry,
 ) -> Vec<Result<FleetVerdict, FleetError>> {
-    let mut sim = FleetSim::new(registry);
-    events
+    let specs = registry.tenants();
+    let mut by_tenant: Vec<Vec<usize>> = vec![Vec::new(); specs.len()];
+    for (i, e) in events.iter().enumerate() {
+        if let Some(idx) = by_tenant.get_mut(e.tenant as usize) {
+            idx.push(i);
+        }
+    }
+    let replay = |tenant: usize| {
+        let mut sim = TenantSim::new(&specs[tenant]);
+        by_tenant[tenant]
+            .iter()
+            .map(|&i| sim.step(&events[i].app, events[i].ts))
+            .collect::<Vec<_>>()
+    };
+
+    // Longest-first greedy assignment of tenants to workers.
+    let mut order: Vec<usize> = (0..specs.len())
+        .filter(|&t| !by_tenant[t].is_empty())
+        .collect();
+    order.sort_by_key(|&t| Reverse(by_tenant[t].len()));
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(order.len())
+        .max(1);
+    let mut groups: Vec<(usize, Vec<usize>)> = vec![(0, Vec::new()); threads];
+    for t in order {
+        let (load, group) = groups
+            .iter_mut()
+            .min_by_key(|(load, _)| *load)
+            .expect("at least one worker");
+        *load += by_tenant[t].len();
+        group.push(t);
+    }
+
+    let replayed: Vec<(usize, Vec<Result<FleetVerdict, FleetError>>)> =
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = groups
+                .iter()
+                .map(|(_, group)| {
+                    let replay = &replay;
+                    scope.spawn(move || group.iter().map(|&t| (t, replay(t))).collect::<Vec<_>>())
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("fleet replay worker panicked"))
+                .collect()
+        });
+
+    // Events of unregistered tenants keep their error; every other slot
+    // is overwritten from its tenant's replay.
+    let mut out: Vec<Result<FleetVerdict, FleetError>> = events
         .iter()
-        .map(|e| sim.step(e.tenant, &e.app, e.ts))
-        .collect()
+        .map(|e| Err(FleetError::UnknownTenant(e.tenant)))
+        .collect();
+    for (tenant, results) in replayed {
+        for (&i, r) in by_tenant[tenant].iter().zip(results) {
+            out[i] = r;
+        }
+    }
+    out
 }
 
 #[cfg(test)]

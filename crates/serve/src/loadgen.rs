@@ -342,7 +342,7 @@ struct Event {
 /// Deterministically assigns an app to one of `n` tenants, rank-weighted
 /// by Zipf skew `s` (0 = uniform): weight of tenant rank r is
 /// `1/(r+1)^s`. Returns the wire id (`1..=n`).
-fn tenant_of(app: u32, n: usize, s: f64) -> u16 {
+pub fn tenant_of(app: u32, n: usize, s: f64) -> u16 {
     debug_assert!(n >= 1 && n <= u16::MAX as usize);
     let weights: Vec<f64> = (0..n).map(|r| 1.0 / ((r + 1) as f64).powf(s)).collect();
     let total: f64 = weights.iter().sum();
@@ -1053,7 +1053,8 @@ fn drive_connection_bin(
     Ok(result)
 }
 
-fn app_name(app: u32) -> String {
+/// The wire name of population app `app`.
+pub fn app_name(app: u32) -> String {
     format!("app-{app:06}")
 }
 

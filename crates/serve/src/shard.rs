@@ -28,7 +28,7 @@ use sitw_core::{
     AppKey, AppPolicy, DecisionKind, FixedKeepAlive, HybridPolicy, NoUnloading, ProductionManager,
     Windows,
 };
-use sitw_fleet::{footprint_mb, LedgerExport, TenantId, TenantLedger, TenantSpec};
+use sitw_fleet::{footprint_mb, AppSlot, LedgerExport, TenantId, TenantLedger, TenantSpec};
 use sitw_sim::PolicySpec;
 use sitw_telemetry::{EventKind, LifecycleEvent, Log2Histogram, SpanEvent, Stage};
 
@@ -347,6 +347,9 @@ struct AppState {
     /// sight — a pure function of `(tenant, app)`, so the hot path
     /// never re-runs the quantile transform.
     footprint_mb: u64,
+    /// The app's slot in its tenant's ledger, interned at first sight
+    /// so the hot path charges without hashing the name again.
+    slot: AppSlot,
     /// The most recent verdict served plus its inputs — the provenance
     /// `GET /debug/policy` reports (`None` only for restored apps that
     /// have not been invoked since).
@@ -532,6 +535,7 @@ impl ShardWorker {
                 (state, _) => state.into_policy(&shard.spec.policy)?,
             };
             let footprint_mb = footprint_mb(&shard.spec.name, &rec.app);
+            let slot = shard.ledger.slot(&rec.app);
             shard.apps.insert(
                 rec.app,
                 AppState {
@@ -540,6 +544,7 @@ impl ShardWorker {
                     last_ts: rec.last_ts,
                     evicted: rec.evicted,
                     footprint_mb,
+                    slot,
                     last_verdict: None,
                     dirty_seq,
                 },
@@ -578,7 +583,7 @@ impl ShardWorker {
             .tenants
             .get_mut(&tenant)
             .ok_or(InvokeError::UnknownTenant)?;
-        let (decision, mb) = match t.apps.get_mut(app) {
+        let (decision, mb, slot) = match t.apps.get_mut(app) {
             None => {
                 // First invocation of this app: cold by definition (§5.1).
                 let (policy, windows, kind) = match &mut t.production {
@@ -596,6 +601,7 @@ impl ShardWorker {
                     }
                 };
                 let mb = footprint_mb(&t.spec.name, app);
+                let slot = t.ledger.slot(app);
                 t.apps.insert(
                     app.to_owned(),
                     AppState {
@@ -604,6 +610,7 @@ impl ShardWorker {
                         last_ts: ts,
                         evicted: false,
                         footprint_mb: mb,
+                        slot,
                         last_verdict: Some(LastVerdict {
                             ts,
                             idle_ms: None,
@@ -624,6 +631,7 @@ impl ShardWorker {
                         windows,
                     },
                     mb,
+                    slot,
                 )
             }
             Some(state) => {
@@ -665,18 +673,20 @@ impl ShardWorker {
                     kind: d.kind,
                 });
                 state.dirty_seq = seq;
-                (d, state.footprint_mb)
+                (d, state.footprint_mb, state.slot)
             }
         };
 
         // Charge the ledger: the app is warm until its windows lapse,
-        // holding its deterministic Burr footprint (computed once at
-        // first sight, cached in its AppState). Budget overflows evict
-        // by earliest expiry — possibly the just-charged app itself,
-        // when its footprint cannot fit at all.
+        // holding its deterministic Burr footprint (footprint and ledger
+        // slot computed once at first sight, cached in its AppState).
+        // Budget overflows evict by earliest expiry — possibly the
+        // just-charged app itself, when its footprint cannot fit at all.
         let expiry = decision.windows.loaded_until(ts);
-        for victim in t.ledger.charge(app, ts, expiry, mb) {
-            if let Some(v) = t.apps.get_mut(&victim) {
+        t.ledger.charge_slot(slot, ts, expiry, mb);
+        for &victim in t.ledger.evicted() {
+            let victim = t.ledger.name(victim);
+            if let Some(v) = t.apps.get_mut(victim) {
                 v.evicted = true;
                 v.dirty_seq = seq;
             }
@@ -690,7 +700,7 @@ impl ShardWorker {
                         ts_ms: ts,
                         kind: EventKind::Eviction,
                         tenant: t.spec.name.clone(), // sitw-lint: allow(hot-path-alloc)
-                        app: victim,
+                        app: victim.to_owned(),
                         // sitw-lint: allow(hot-path-alloc)
                         detail: format!("budget {} MB", t.spec.budget_mb),
                     });

@@ -2211,9 +2211,8 @@ mod tests {
         encode_repl_round(&mut out, FRAME_REPL_DELTA, 9, &doc);
         let mut buf = &out[..];
         let mut assembled = Vec::new();
-        let mut committed = None;
         let mut next_seq = 0u32;
-        loop {
+        let committed = loop {
             match decode_server_frame(buf) {
                 ServerFrameDecode::ReplChunk {
                     full_sync,
@@ -2232,16 +2231,15 @@ mod tests {
                     buf = &buf[consumed..];
                 }
                 ServerFrameDecode::ReplCommit { epoch, consumed } => {
-                    committed = Some(epoch);
                     buf = &buf[consumed..];
-                    break;
+                    break epoch;
                 }
                 other => panic!("{other:?}"),
             }
-        }
+        };
         assert!(buf.is_empty());
         assert_eq!(assembled, doc);
-        assert_eq!(committed, Some(9));
+        assert_eq!(committed, 9);
         // Every proper prefix of the stream is Incomplete.
         for cut in 0..BIN_HEADER_LEN + REPL_CHUNK_HEADER {
             assert!(matches!(

@@ -37,29 +37,26 @@ pub fn run_sweep(
     }
 
     let chunk_size = population.len().div_ceil(threads);
-    let mut partials: Vec<Vec<PolicyAggregate>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for chunk_idx in 0..threads {
-            let lo = chunk_idx * chunk_size;
-            let hi = ((chunk_idx + 1) * chunk_size).min(population.len());
-            if lo >= hi {
-                continue;
-            }
-            handles.push(scope.spawn(move |_| {
-                let mut aggs: Vec<PolicyAggregate> = specs
-                    .iter()
-                    .map(|s| PolicyAggregate::new(s.label()))
-                    .collect();
-                simulate_chunk(population, lo..hi, trace_cfg, specs, &mut aggs);
-                aggs
-            }));
-        }
-        for h in handles {
-            partials.push(h.join().expect("sweep worker panicked"));
-        }
-    })
-    .expect("sweep scope panicked");
+    let partials: Vec<Vec<PolicyAggregate>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..population.len())
+            .step_by(chunk_size)
+            .map(|lo| {
+                let range = lo..(lo + chunk_size).min(population.len());
+                scope.spawn(move || {
+                    let mut aggs: Vec<PolicyAggregate> = specs
+                        .iter()
+                        .map(|s| PolicyAggregate::new(s.label()))
+                        .collect();
+                    simulate_chunk(population, range, trace_cfg, specs, &mut aggs);
+                    aggs
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep worker panicked"))
+            .collect()
+    });
 
     // Deterministic merge in chunk order.
     let mut iter = partials.into_iter();

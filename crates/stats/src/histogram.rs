@@ -208,6 +208,18 @@ impl RangeHistogram {
             .map(|b| (b as u64 + 1) * self.bin_width)
     }
 
+    /// [`RangeHistogram::head_value`] at `head_p` and
+    /// [`RangeHistogram::tail_value`] at `tail_p` from one walk over the
+    /// bins — identical to calling both.
+    pub fn head_tail_values(&self, head_p: f64, tail_p: f64) -> Option<(u64, u64)> {
+        let [head, tail] =
+            percentile_bins_over(&self.bins, self.in_bounds as f64, [head_p, tail_p])?;
+        Some((
+            head as u64 * self.bin_width,
+            (tail as u64 + 1) * self.bin_width,
+        ))
+    }
+
     /// Index of the bin containing the in-bounds `p`-th percentile.
     pub fn percentile_bin(&self, p: f64) -> Option<usize> {
         percentile_bin_over(&self.bins, self.in_bounds as f64, p)
@@ -348,11 +360,34 @@ impl WeightedBins {
 /// Finds the first non-empty bin at which the cumulative count reaches
 /// `p`% of `total`. Returns `None` when `total` is zero.
 fn percentile_bin_over<C: Copy + Into<f64>>(bins: &[C], total: f64, p: f64) -> Option<usize> {
+    percentile_bins_over(bins, total, [p]).map(|[bin]| bin)
+}
+
+/// The bins of several percentiles in one walk; each equals what a walk
+/// for that percentile alone finds (the running sum is the same).
+fn percentile_bins_over<C: Copy + Into<f64>, const N: usize>(
+    bins: &[C],
+    total: f64,
+    ps: [f64; N],
+) -> Option<[usize; N]> {
     if total <= 0.0 {
         return None;
     }
-    let p = p.clamp(0.0, 100.0);
-    let target = p / 100.0 * total;
+    let targets = ps.map(|p| p.clamp(0.0, 100.0) / 100.0 * total);
+    // Meet the targets in ascending order (NaN, which no sum meets,
+    // last), so each non-empty bin costs one comparison.
+    let mut order: [usize; N] = std::array::from_fn(|k| k);
+    order.sort_by(|&a, &b| {
+        let (a, b) = (targets[a], targets[b]);
+        a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
+    });
+    let Some(&first) = order.first() else {
+        return Some([0; N]);
+    };
+    let mut want = targets[first];
+    let mut met = 0;
+    // `usize::MAX` marks a target not met yet (no bin has that index).
+    let mut out = [usize::MAX; N];
     let mut cum = 0.0;
     let mut last_nonempty = None;
     for (i, &c) in bins.iter().enumerate() {
@@ -360,14 +395,23 @@ fn percentile_bin_over<C: Copy + Into<f64>>(bins: &[C], total: f64, p: f64) -> O
         if c > 0.0 {
             cum += c;
             last_nonempty = Some(i);
-            if cum >= target {
-                return Some(i);
+            while cum >= want {
+                out[order[met]] = i;
+                met += 1;
+                if met == N {
+                    return Some(out);
+                }
+                want = targets[order[met]];
             }
         }
     }
-    // Float round-off can leave `cum` a hair short of `target`; the
+    // Float round-off can leave `cum` a hair short of a target; that
     // percentile then belongs to the last non-empty bin.
-    last_nonempty
+    let last_nonempty = last_nonempty?;
+    for bin in out.iter_mut().filter(|b| **b == usize::MAX) {
+        *bin = last_nonempty;
+    }
+    Some(out)
 }
 
 #[cfg(test)]
@@ -428,6 +472,29 @@ mod tests {
         assert_eq!(h.head_value(5.0), Some(10));
         assert_eq!(h.tail_value(90.0), Some(11)); // 90% of mass is in bin 10
         assert_eq!(h.tail_value(99.0), Some(51));
+    }
+
+    #[test]
+    fn one_walk_head_tail_equals_separate_walks() {
+        let mut h = RangeHistogram::new(64, 2);
+        assert_eq!(h.head_tail_values(5.0, 99.0), None);
+        for (v, n) in [(3, 7), (11, 1), (40, 30), (41, 2), (100, 5), (127, 1)] {
+            for _ in 0..n {
+                h.record(v);
+            }
+            for (head, tail) in [
+                (5.0, 99.0),
+                (99.0, 5.0),
+                (50.0, 50.0),
+                (0.0, 100.0),
+                (-3.0, 250.0),
+                (f64::NAN, 90.0),
+                (10.0, -f64::NAN),
+            ] {
+                let separate = h.head_value(head).zip(h.tail_value(tail));
+                assert_eq!(h.head_tail_values(head, tail), separate, "{head} {tail}");
+            }
+        }
     }
 
     #[test]
