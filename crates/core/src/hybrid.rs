@@ -15,6 +15,7 @@
 //!    unloading (Figure 12, middle column).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use sitw_arima::{auto_arima, AutoArimaConfig};
 use sitw_stats::RangeHistogram;
@@ -170,9 +171,14 @@ impl DecisionCounts {
 }
 
 /// Per-application state of the hybrid histogram policy.
+///
+/// The configuration is held behind an [`Arc`] so a fleet of apps under
+/// one tenant can share a single copy ([`HybridPolicy::with_config`]);
+/// the per-app footprint is then the histogram (§6: 240 one-minute
+/// buckets, 960 bytes), the capped ARIMA history and the counters.
 #[derive(Debug, Clone)]
 pub struct HybridPolicy {
-    config: HybridConfig,
+    config: Arc<HybridConfig>,
     hist: RangeHistogram,
     /// Recent ITs in minutes (for the ARIMA path), most recent last;
     /// a ring of at most `history_cap` entries.
@@ -184,6 +190,12 @@ pub struct HybridPolicy {
 impl HybridPolicy {
     /// Creates the per-app state for a configuration.
     pub fn new(config: HybridConfig) -> Self {
+        Self::with_config(Arc::new(config))
+    }
+
+    /// Creates the per-app state for a configuration shared with other
+    /// apps (no copy of the configuration is made).
+    pub fn with_config(config: Arc<HybridConfig>) -> Self {
         let width = config.bin_width_minutes.max(1);
         let bins = (config.range_minutes / width).max(1);
         let hist = RangeHistogram::new(bins, width as u64);
@@ -308,6 +320,19 @@ impl HybridPolicy {
     /// Fails when the snapshot's histogram geometry or history length
     /// does not fit `config`.
     pub fn from_snapshot(config: HybridConfig, snap: HybridSnapshot) -> Result<Self, String> {
+        Self::from_snapshot_with_config(Arc::new(config), snap)
+    }
+
+    /// [`HybridPolicy::from_snapshot`] under a configuration shared with
+    /// other apps.
+    ///
+    /// # Errors
+    ///
+    /// As [`HybridPolicy::from_snapshot`].
+    pub fn from_snapshot_with_config(
+        config: Arc<HybridConfig>,
+        snap: HybridSnapshot,
+    ) -> Result<Self, String> {
         let width = config.bin_width_minutes.max(1);
         let expected_bins = (config.range_minutes / width).max(1);
         if snap.bins.len() != expected_bins {

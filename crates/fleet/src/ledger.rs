@@ -157,6 +157,17 @@ impl TenantLedger {
         slot
     }
 
+    /// The slot of `app` if it is interned, without interning it.
+    pub fn find(&self, app: &str) -> Option<AppSlot> {
+        self.index.get(app).copied()
+    }
+
+    /// How many app names are interned: every slot issued so far lies
+    /// below this bound.
+    pub fn interned(&self) -> usize {
+        self.names.len()
+    }
+
     /// The app name interned at `slot`.
     ///
     /// # Panics
@@ -501,6 +512,17 @@ mod tests {
         b.advance(10_000);
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.export(), b.export());
+    }
+
+    #[test]
+    fn find_does_not_intern() {
+        let mut l = TenantLedger::new(0);
+        assert_eq!(l.find("a"), None);
+        assert_eq!(l.interned(), 0);
+        let a = l.slot("a");
+        assert_eq!(l.find("a"), Some(a));
+        assert_eq!(l.find("b"), None);
+        assert_eq!(l.interned(), 1);
     }
 
     #[test]

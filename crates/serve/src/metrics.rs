@@ -11,6 +11,8 @@
 
 use sitw_telemetry::Log2Histogram;
 
+use crate::wire::{kind_from_bits, kind_str};
+
 /// One declared Prometheus series family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeriesDecl {
@@ -114,6 +116,11 @@ pub const REGISTRY: &[SeriesDecl] = &[
         name: "sitw_serve_tenant_cold_total",
         kind: "counter",
         help: "Cold verdicts per tenant (incl. eviction downgrades)",
+    },
+    SeriesDecl {
+        name: "sitw_serve_decisions_total",
+        kind: "counter",
+        help: "Decisions per tenant by the policy branch that served them",
     },
     SeriesDecl {
         name: "sitw_serve_frames_total",
@@ -331,6 +338,9 @@ pub struct TenantStats {
     pub invocations: u64,
     /// Cold verdicts (including eviction downgrades).
     pub cold: u64,
+    /// Decisions by kind, indexed by the kind's SITW-BIN code
+    /// (`wire::kind_to_bits`); they sum to `invocations`.
+    pub decisions: [u64; 4],
     /// Decision latency for this tenant's invocations, nanoseconds.
     pub decision_ns: Log2Histogram,
 }
@@ -473,6 +483,9 @@ impl MetricsReport {
                         m.idle_mb_ms = m.idle_mb_ms.saturating_add(t.idle_mb_ms);
                         m.invocations += t.invocations;
                         m.cold += t.cold;
+                        for (m, t) in m.decisions.iter_mut().zip(t.decisions) {
+                            *m += t;
+                        }
                         m.decision_ns.merge(&t.decision_ns);
                     }
                     None => merged.push(t.clone()),
@@ -599,6 +612,17 @@ impl MetricsReport {
             family(&mut out, name);
             for t in &tenants {
                 let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {}", t.name, get(t));
+            }
+        }
+        family(&mut out, "sitw_serve_decisions_total");
+        for t in &tenants {
+            for (bits, n) in (0u8..).zip(t.decisions) {
+                let _ = writeln!(
+                    out,
+                    "sitw_serve_decisions_total{{tenant=\"{}\",kind=\"{}\"}} {n}",
+                    t.name,
+                    kind_str(kind_from_bits(bits))
+                );
             }
         }
         let proto: [(&str, u64); 4] = [
@@ -775,6 +799,7 @@ mod tests {
                     idle_mb_ms: 1_000,
                     invocations: 90,
                     cold: 15,
+                    decisions: [60, 25, 5, 0],
                     decision_ns: tenant_decide,
                 },
                 TenantStats {
@@ -787,6 +812,7 @@ mod tests {
                     idle_mb_ms: 2_000,
                     invocations: 10,
                     cold: 5,
+                    decisions: [0, 0, 0, 10],
                     decision_ns: Log2Histogram::new(),
                 },
             ],
@@ -825,6 +851,7 @@ mod tests {
         assert_eq!(tenants[0].idle_mb_ms, 2_000);
         assert_eq!(tenants[1].evictions, 8);
         assert_eq!(tenants[1].budget_mb, 512, "config gauge, not summed");
+        assert_eq!(tenants[0].decisions, [120, 50, 10, 0]);
     }
 
     #[test]
@@ -883,6 +910,11 @@ mod tests {
         assert!(text.contains("sitw_serve_tenant_evictions_total{tenant=\"acme\"} 8"));
         assert!(text.contains("sitw_serve_tenant_budget_mb{tenant=\"acme\"} 512"));
         assert!(text.contains("sitw_serve_tenant_idle_mb_ms_total{tenant=\"default\"} 2000"));
+        assert!(text.contains("# TYPE sitw_serve_decisions_total counter"));
+        assert!(
+            text.contains("sitw_serve_decisions_total{tenant=\"default\",kind=\"histogram\"} 120")
+        );
+        assert!(text.contains("sitw_serve_decisions_total{tenant=\"acme\",kind=\"static\"} 20"));
         // The true histogram family: per stage and protocol, plus
         // per-tenant decide series.
         assert!(text.contains("# TYPE sitw_serve_decision_latency histogram"));

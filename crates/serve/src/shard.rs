@@ -23,10 +23,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 
 use sitw_core::{
-    AppKey, AppPolicy, DecisionKind, FixedKeepAlive, HybridPolicy, NoUnloading, ProductionManager,
-    Windows,
+    AppKey, AppPolicy, DecisionKind, FixedKeepAlive, HybridConfig, HybridPolicy, NoUnloading,
+    ProductionManager, Windows,
 };
 use sitw_fleet::{footprint_mb, AppSlot, LedgerExport, TenantId, TenantLedger, TenantSpec};
 use sitw_sim::PolicySpec;
@@ -36,6 +37,7 @@ use crate::metrics::{ShardStats, TenantStats};
 use crate::reactor::ReplySink;
 use crate::snapshot::{AppRecord, PolicyState, ShardExport, TenantExport};
 use crate::telem::ShardTelem;
+use crate::wire::kind_to_bits;
 
 /// Latency quantiles `/metrics` exports as compatibility gauges,
 /// derived from the shard's decision-latency log2 histogram.
@@ -75,24 +77,6 @@ pub enum ServedPolicy {
 }
 
 impl ServedPolicy {
-    /// Creates a fresh instance for one application under `spec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`PolicySpec::Production`]: production apps are
-    /// registered with their tenant's manager (see
-    /// [`ShardWorker::invoke`]), not built standalone.
-    pub fn new(spec: &PolicySpec) -> ServedPolicy {
-        match spec {
-            PolicySpec::Fixed(f) => ServedPolicy::Fixed(*f),
-            PolicySpec::NoUnloading => ServedPolicy::NoUnload(NoUnloading),
-            PolicySpec::Hybrid(cfg) => ServedPolicy::Hybrid(HybridPolicy::new(cfg.clone())),
-            PolicySpec::Production(_) => {
-                unreachable!("production apps are created by the tenant's manager")
-            }
-        }
-    }
-
     // sitw-lint: hot-path
     fn on_invocation(&mut self, idle_time_ms: Option<u64>) -> Windows {
         match self {
@@ -116,6 +100,63 @@ impl ServedPolicy {
             ServedPolicy::NoUnload(p) => p.last_decision(),
             ServedPolicy::Hybrid(p) => p.last_decision(),
             ServedPolicy::Production { last, .. } => *last,
+        }
+    }
+}
+
+/// What a tenant builds its apps' policy instances from: its
+/// [`PolicySpec`] with a hybrid configuration held once, behind an
+/// [`Arc`], and shared by every instance (fresh or restored).
+#[derive(Debug, Clone)]
+pub(crate) enum PolicyTemplate {
+    /// Fixed keep-alive baseline.
+    Fixed(FixedKeepAlive),
+    /// Never unload.
+    NoUnload,
+    /// The hybrid histogram policy, one configuration per tenant.
+    Hybrid(Arc<HybridConfig>),
+    /// Production apps are keys into the tenant's [`ProductionManager`],
+    /// which builds and restores their state itself.
+    Production,
+}
+
+impl PolicyTemplate {
+    pub(crate) fn new(spec: &PolicySpec) -> PolicyTemplate {
+        match spec {
+            PolicySpec::Fixed(f) => PolicyTemplate::Fixed(*f),
+            PolicySpec::NoUnloading => PolicyTemplate::NoUnload,
+            PolicySpec::Hybrid(cfg) => PolicyTemplate::Hybrid(Arc::new(cfg.clone())),
+            PolicySpec::Production(_) => PolicyTemplate::Production,
+        }
+    }
+
+    /// A fresh instance for a newly seen application.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`PolicyTemplate::Production`]: production apps are
+    /// registered with their tenant's manager (see
+    /// [`ShardWorker::invoke`]), not built standalone.
+    pub(crate) fn fresh(&self) -> ServedPolicy {
+        match self {
+            PolicyTemplate::Fixed(f) => ServedPolicy::Fixed(*f),
+            PolicyTemplate::NoUnload => ServedPolicy::NoUnload(NoUnloading),
+            PolicyTemplate::Hybrid(cfg) => {
+                ServedPolicy::Hybrid(HybridPolicy::with_config(Arc::clone(cfg)))
+            }
+            PolicyTemplate::Production => {
+                unreachable!("production apps are created by the tenant's manager")
+            }
+        }
+    }
+
+    /// The template's policy family, for error messages.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            PolicyTemplate::Fixed(_) => "fixed",
+            PolicyTemplate::NoUnload => "no-unloading",
+            PolicyTemplate::Hybrid(_) => "hybrid",
+            PolicyTemplate::Production => "production",
         }
     }
 }
@@ -335,7 +376,8 @@ pub struct DirtyShardExport {
     pub export: ShardExport,
 }
 
-/// Per-application serving state.
+/// Per-application serving state, stored in its tenant's table at the
+/// app's ledger slot.
 struct AppState {
     policy: ServedPolicy,
     windows: Windows,
@@ -347,9 +389,6 @@ struct AppState {
     /// sight — a pure function of `(tenant, app)`, so the hot path
     /// never re-runs the quantile transform.
     footprint_mb: u64,
-    /// The app's slot in its tenant's ledger, interned at first sight
-    /// so the hot path charges without hashing the name again.
-    slot: AppSlot,
     /// The most recent verdict served plus its inputs — the provenance
     /// `GET /debug/policy` reports (`None` only for restored apps that
     /// have not been invoked since).
@@ -376,14 +415,26 @@ struct LastVerdict {
 }
 
 /// One tenant's complete state on this shard.
+///
+/// The ledger interns every app name once into a dense [`AppSlot`], and
+/// that slot is the app's only key here: per-app state is a table
+/// indexed by slot, so an app name is hashed once per invocation and
+/// stored once per tenant. An entry is `None` for
+/// a slot the ledger interned from a restored warm entry that has no
+/// app record. A hybrid tenant's apps share one [`HybridConfig`].
 struct TenantShard {
     spec: TenantSpec,
-    apps: HashMap<String, AppState>,
+    /// Per-app state by ledger slot.
+    apps: Vec<Option<AppState>>,
+    /// What every app's policy instance is built from.
+    template: PolicyTemplate,
     /// `Some` iff the tenant's policy is [`PolicySpec::Production`].
     production: Option<ProductionShard>,
     ledger: TenantLedger,
     invocations: u64,
     cold: u64,
+    /// Decisions served, by kind (indexed by [`kind_to_bits`]).
+    decisions: [u64; 4],
     /// Decision latency for this tenant's invocations, nanoseconds.
     decide_ns: Log2Histogram,
 }
@@ -405,15 +456,28 @@ impl TenantShard {
             _ => None,
         };
         TenantShard {
+            template: PolicyTemplate::new(&spec.policy),
             spec,
-            apps: HashMap::new(),
+            apps: Vec::new(),
             production,
             ledger,
             invocations: 0,
             cold: 0,
+            decisions: [0; 4],
             decide_ns: Log2Histogram::new(),
         }
     }
+}
+
+/// The table entry of `slot`, growing the table to cover it. The ledger
+/// issues slots densely in first-sight order, so a new app grows the
+/// table by one entry.
+fn app_entry(apps: &mut Vec<Option<AppState>>, slot: AppSlot) -> &mut Option<AppState> {
+    let idx = slot as usize;
+    if apps.len() <= idx {
+        apps.resize_with(idx + 1, || None);
+    }
+    &mut apps[idx]
 }
 
 /// Restore payload for one tenant on one shard: its spec plus the app
@@ -523,7 +587,6 @@ impl ShardWorker {
             TenantLedger::restore(budget, restore.ledger),
             restore.prod_clock,
         );
-        shard.apps.reserve(restore.apps.len().max(16));
         for rec in restore.apps {
             let policy = match (rec.state, &mut shard.production) {
                 (PolicyState::Production { last, state }, Some(prod)) => {
@@ -532,23 +595,19 @@ impl ShardWorker {
                     prod.manager.import_app(key, state)?;
                     ServedPolicy::Production { key, last }
                 }
-                (state, _) => state.into_policy(&shard.spec.policy)?,
+                (state, _) => state.instantiate(&shard.template)?,
             };
             let footprint_mb = footprint_mb(&shard.spec.name, &rec.app);
             let slot = shard.ledger.slot(&rec.app);
-            shard.apps.insert(
-                rec.app,
-                AppState {
-                    policy,
-                    windows: rec.windows,
-                    last_ts: rec.last_ts,
-                    evicted: rec.evicted,
-                    footprint_mb,
-                    slot,
-                    last_verdict: None,
-                    dirty_seq,
-                },
-            );
+            *app_entry(&mut shard.apps, slot) = Some(AppState {
+                policy,
+                windows: rec.windows,
+                last_ts: rec.last_ts,
+                evicted: rec.evicted,
+                footprint_mb,
+                last_verdict: None,
+                dirty_seq,
+            });
         }
         Ok((tid, shard))
     }
@@ -583,7 +642,10 @@ impl ShardWorker {
             .tenants
             .get_mut(&tenant)
             .ok_or(InvokeError::UnknownTenant)?;
-        let (decision, mb, slot) = match t.apps.get_mut(app) {
+        // The app's one hash: its ledger slot is also its state's index.
+        let slot = t.ledger.slot(app);
+        let entry = app_entry(&mut t.apps, slot);
+        let (decision, mb) = match entry {
             None => {
                 // First invocation of this app: cold by definition (§5.1).
                 let (policy, windows, kind) = match &mut t.production {
@@ -594,34 +656,29 @@ impl ShardWorker {
                         (ServedPolicy::Production { key, last: kind }, windows, kind)
                     }
                     None => {
-                        let mut policy = ServedPolicy::new(&t.spec.policy);
+                        let mut policy = t.template.fresh();
                         let windows = policy.on_invocation(None);
                         let kind = policy.last_decision();
                         (policy, windows, kind)
                     }
                 };
                 let mb = footprint_mb(&t.spec.name, app);
-                let slot = t.ledger.slot(app);
-                t.apps.insert(
-                    app.to_owned(),
-                    AppState {
-                        policy,
-                        windows,
-                        last_ts: ts,
+                *entry = Some(AppState {
+                    policy,
+                    windows,
+                    last_ts: ts,
+                    evicted: false,
+                    footprint_mb: mb,
+                    last_verdict: Some(LastVerdict {
+                        ts,
+                        idle_ms: None,
+                        cold: true,
+                        prewarm_load: false,
                         evicted: false,
-                        footprint_mb: mb,
-                        slot,
-                        last_verdict: Some(LastVerdict {
-                            ts,
-                            idle_ms: None,
-                            cold: true,
-                            prewarm_load: false,
-                            evicted: false,
-                            kind,
-                        }),
-                        dirty_seq: seq,
-                    },
-                );
+                        kind,
+                    }),
+                    dirty_seq: seq,
+                });
                 (
                     Decision {
                         cold: true,
@@ -631,7 +688,6 @@ impl ShardWorker {
                         windows,
                     },
                     mb,
-                    slot,
                 )
             }
             Some(state) => {
@@ -673,20 +729,19 @@ impl ShardWorker {
                     kind: d.kind,
                 });
                 state.dirty_seq = seq;
-                (d, state.footprint_mb, state.slot)
+                (d, state.footprint_mb)
             }
         };
 
         // Charge the ledger: the app is warm until its windows lapse,
-        // holding its deterministic Burr footprint (footprint and ledger
-        // slot computed once at first sight, cached in its AppState).
+        // holding its deterministic Burr footprint (computed once at
+        // first sight, cached in its AppState).
         // Budget overflows evict by earliest expiry — possibly the
         // just-charged app itself, when its footprint cannot fit at all.
         let expiry = decision.windows.loaded_until(ts);
         t.ledger.charge_slot(slot, ts, expiry, mb);
         for &victim in t.ledger.evicted() {
-            let victim = t.ledger.name(victim);
-            if let Some(v) = t.apps.get_mut(victim) {
+            if let Some(Some(v)) = t.apps.get_mut(victim as usize) {
                 v.evicted = true;
                 v.dirty_seq = seq;
             }
@@ -700,7 +755,7 @@ impl ShardWorker {
                         ts_ms: ts,
                         kind: EventKind::Eviction,
                         tenant: t.spec.name.clone(), // sitw-lint: allow(hot-path-alloc)
-                        app: victim.to_owned(),
+                        app: t.ledger.name(victim).to_owned(),
                         // sitw-lint: allow(hot-path-alloc)
                         detail: format!("budget {} MB", t.spec.budget_mb),
                     });
@@ -709,6 +764,7 @@ impl ShardWorker {
         }
 
         t.invocations += 1;
+        t.decisions[kind_to_bits(decision.kind) as usize] += 1;
         self.invocations += 1;
         self.mutation_seq = seq;
         if decision.cold {
@@ -768,6 +824,7 @@ impl ShardWorker {
                     idle_mb_ms: ledger.idle_mb_ms,
                     invocations: t.invocations,
                     cold: t.cold,
+                    decisions: t.decisions,
                     decision_ns: t.decide_ns.clone(),
                 }
             })
@@ -775,7 +832,11 @@ impl ShardWorker {
         tenants.sort_by_key(|t| t.id);
         ShardStats {
             shard: self.id,
-            apps: self.tenants.values().map(|t| t.apps.len() as u64).sum(),
+            apps: self
+                .tenants
+                .values()
+                .map(|t| t.apps.iter().flatten().count() as u64)
+                .sum(),
             invocations: self.invocations,
             cold: self.cold,
             warm: self.invocations - self.cold,
@@ -823,12 +884,12 @@ impl ShardWorker {
     /// carrying it every round is what lets delta application replace
     /// it wholesale instead of diffing.
     fn export_tenant_if(t: &TenantShard, keep: impl Fn(&AppState) -> bool) -> TenantExport {
-        let mut apps: Vec<AppRecord> = t
-            .apps
-            .iter()
+        let mut apps: Vec<AppRecord> = (0..)
+            .zip(&t.apps)
+            .filter_map(|(slot, state)| Some((slot, state.as_ref()?)))
             .filter(|(_, state)| keep(state))
-            .map(|(app, state)| AppRecord {
-                app: app.clone(),
+            .map(|(slot, state)| AppRecord {
+                app: t.ledger.name(slot).to_owned(),
                 last_ts: state.last_ts,
                 windows: state.windows,
                 evicted: state.evicted,
@@ -864,7 +925,7 @@ impl ShardWorker {
     }
 
     /// One shard's half of a replication round: every tenant, with the
-    /// app records mutated after `since`. Walks the app maps without
+    /// app records mutated after `since`. Walks the app tables without
     /// mutating anything — decisions in flight on other shards are
     /// unaffected, and this shard resumes its mailbox immediately
     /// after.
@@ -879,6 +940,15 @@ impl ShardWorker {
             seq: self.mutation_seq,
             export: ShardExport { tenants },
         }
+    }
+
+    /// Renders one app's live policy state (`GET /debug/policy`), or
+    /// `None` when the tenant or app has no state here. The lookup never
+    /// interns, so probing an unknown app allocates nothing.
+    fn probe(&self, tenant: TenantId, app: &str) -> Option<String> {
+        let t = self.tenants.get(&tenant)?;
+        let state = t.apps.get(t.ledger.find(app)? as usize)?.as_ref()?;
+        Some(render_policy(t, app, state))
     }
 
     /// Records a tenant migration on the lifecycle event ring (take or
@@ -1135,11 +1205,7 @@ impl ShardWorker {
                     let _ = ack.send(result);
                 }
                 ShardMsg::PolicyProbe { tenant, app, reply } => {
-                    let body = self
-                        .tenants
-                        .get(&tenant)
-                        .and_then(|t| t.apps.get(&app).map(|s| render_policy(t, &app, s)));
-                    let _ = reply.send(body);
+                    let _ = reply.send(self.probe(tenant, &app));
                 }
                 ShardMsg::Scrape(reply) => {
                     let _ = reply.send(self.stats());
@@ -1684,6 +1750,202 @@ mod tests {
         // The pre-existing clean app does not ride along.
         let default = round.export.tenants.iter().find(|t| t.id == 0).unwrap();
         assert!(default.apps.is_empty());
+    }
+
+    #[test]
+    fn app_state_size_is_pinned() {
+        // One table entry per app: the shared hybrid configuration keeps
+        // the policy at 128 B and the state (with its `None` niche) at
+        // 208 B.
+        assert!(std::mem::size_of::<Option<AppState>>() <= 208);
+    }
+
+    #[test]
+    fn fresh_and_restored_hybrid_apps_share_the_tenant_config() {
+        use sitw_core::HybridConfig;
+        let spec = TenantSpec {
+            id: 1,
+            name: "acme".into(),
+            policy: PolicySpec::Hybrid(HybridConfig::default()),
+            budget_mb: 0,
+        };
+        let mut primary = ShardWorker::new(0, vec![TenantRestore::fresh(spec.clone())]).unwrap();
+        for (app, ts) in rhythm_stream(60) {
+            primary.invoke(1, &app, ts).unwrap();
+        }
+        let export = ShardWorker::export_tenant(&primary.tenants[&1]);
+        let mut restored = ShardWorker::new(
+            0,
+            vec![TenantRestore {
+                spec,
+                apps: export.apps.clone(),
+                ledger: export.ledger.clone(),
+                prod_clock: export.prod_clock,
+            }],
+        )
+        .unwrap();
+        restored.invoke(1, "newcomer", 60 * MINUTE_MS).unwrap();
+        for worker in [&primary, &restored] {
+            let t = &worker.tenants[&1];
+            let PolicyTemplate::Hybrid(shared) = &t.template else {
+                panic!("hybrid template expected");
+            };
+            let mut apps = 0;
+            for state in t.apps.iter().flatten() {
+                let ServedPolicy::Hybrid(h) = &state.policy else {
+                    panic!("hybrid app expected");
+                };
+                assert!(std::ptr::eq(h.config(), &**shared));
+                apps += 1;
+            }
+            assert!(apps >= 40);
+        }
+    }
+
+    /// Tenant-1 traffic over 40 apps on rhythms of 2 to 14 minutes,
+    /// every fifth app going quiet halfway, in time order.
+    fn rhythm_stream(steps: u64) -> Vec<(String, u64)> {
+        let mut events = Vec::new();
+        for step in 0..steps {
+            for i in 0..40u64 {
+                let period = 2 * (i % 7 + 1);
+                if step % period == i % period && (i % 5 != 0 || step < steps / 2) {
+                    events.push((format!("app-{i:02}"), step * MINUTE_MS + i * 1_000));
+                }
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn slot_indexed_restore_is_exact_and_probes_do_not_intern() {
+        use crate::snapshot::encode_tenant_section;
+        use sitw_core::HybridConfig;
+        let name = "acme";
+        let total: u64 = (0..40)
+            .map(|i| footprint_mb(name, &format!("app-{i:02}")))
+            .sum();
+        let spec = TenantSpec {
+            id: 1,
+            name: name.into(),
+            policy: PolicySpec::Hybrid(HybridConfig::default()),
+            budget_mb: total / 3,
+        };
+        let events = rhythm_stream(500);
+        let cut = 2_000;
+        assert!(events.len() >= cut + 1_000);
+        let mut primary = ShardWorker::new(0, vec![TenantRestore::fresh(spec.clone())]).unwrap();
+        for (app, ts) in &events[..cut] {
+            primary.invoke(1, app, *ts).unwrap();
+        }
+        assert!(primary.stats().tenants[0].evictions > 0);
+        let export = ShardWorker::export_tenant(&primary.tenants[&1]);
+        let text = encode_tenant_section(&export);
+        let restore = |ledger: LedgerExport| {
+            let restore = TenantRestore {
+                spec: spec.clone(),
+                apps: export.apps.clone(),
+                ledger,
+                prod_clock: export.prod_clock,
+            };
+            ShardWorker::new(0, vec![restore]).unwrap()
+        };
+
+        // The ledger interns its warm entries first, so slot order is
+        // not the records' name order.
+        let mut restored = restore(export.ledger.clone());
+        let t = &restored.tenants[&1];
+        let by_slot: Vec<&str> = (0..t.ledger.interned() as AppSlot)
+            .map(|slot| t.ledger.name(slot))
+            .collect();
+        let by_record: Vec<&str> = export.apps.iter().map(|r| r.app.as_str()).collect();
+        assert_eq!(by_slot.len(), by_record.len());
+        assert_ne!(by_slot, by_record);
+        assert_eq!(encode_tenant_section(&ShardWorker::export_tenant(t)), text);
+        for (app, ts) in &events[cut..cut + 1_000] {
+            assert_eq!(
+                restored.invoke(1, app, *ts),
+                primary.invoke(1, app, *ts),
+                "{app} at {ts}"
+            );
+        }
+
+        let interned = restored.tenants[&1].ledger.interned();
+        assert!(restored.probe(1, "app-99").is_none());
+        assert!(restored.probe(7, "app-01").is_none());
+        assert_eq!(restored.tenants[&1].ledger.interned(), interned);
+        assert!(restored.probe(1, "app-01").is_some());
+
+        // A warm ledger entry with no app record gets a slot but no
+        // state: it is neither counted nor probed.
+        let mut ledger = export.ledger.clone();
+        ledger
+            .warm
+            .push(("ghost".into(), ledger.cursor_ms + MINUTE_MS, 1));
+        let ghost = restore(ledger);
+        assert_eq!(ghost.tenants[&1].ledger.interned(), export.apps.len() + 1);
+        assert_eq!(ghost.stats().apps, export.apps.len() as u64);
+        assert!(ghost.probe(1, "ghost").is_none());
+    }
+
+    #[test]
+    fn decision_kinds_match_policy_counts_and_sum_to_invocations() {
+        use crate::metrics::{ConnStats, MetricsReport, ProtoStats, ReplStats};
+        use sitw_core::HybridConfig;
+        // One hybrid app learning a 10-minute rhythm, then idling past
+        // the histogram range until ARIMA takes over: every branch
+        // serves it.
+        let mut w = ShardWorker::new(
+            0,
+            vec![
+                TenantRestore::fresh(default_spec(PolicySpec::Hybrid(HybridConfig::default()))),
+                TenantRestore::fresh(TenantSpec {
+                    id: 1,
+                    name: "fixed".into(),
+                    policy: PolicySpec::fixed_minutes(10),
+                    budget_mb: 0,
+                }),
+            ],
+        )
+        .unwrap();
+        let mut ts = 0;
+        for i in 0..120u64 {
+            ts += if i < 40 { 10 } else { 300 } * MINUTE_MS;
+            w.invoke0("x", ts).unwrap();
+            w.invoke(1, "y", ts).unwrap();
+        }
+        let counts = match &w.tenants[&DEFAULT_TENANT].apps[..] {
+            [Some(AppState {
+                policy: ServedPolicy::Hybrid(p),
+                ..
+            })] => p.decisions(),
+            _ => panic!("one hybrid app expected"),
+        };
+        assert!(counts.histogram > 0 && counts.standard > 0 && counts.arima > 0);
+        let stats = w.stats();
+        assert_eq!(
+            stats.tenants[0].decisions,
+            [counts.histogram, counts.standard, counts.arima, 0]
+        );
+        assert_eq!(stats.tenants[1].decisions, [0, 0, 0, 120]);
+
+        let text = MetricsReport {
+            shards: vec![stats],
+            reactors: vec![],
+            proto: ProtoStats::default(),
+            conns: ConnStats::default(),
+            repl: ReplStats::default(),
+            uptime_ms: 0,
+        }
+        .render();
+        let sum = |prefix: &str| -> u64 {
+            text.lines()
+                .filter(|l| l.starts_with(prefix))
+                .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+                .sum()
+        };
+        assert_eq!(sum("sitw_serve_invocations_total{"), 240);
+        assert_eq!(sum("sitw_serve_decisions_total{"), 240);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use sitw_core::{
     DayHistogram, DecisionCounts, DecisionKind, HybridPolicy, HybridSnapshot, ProductionAppState,
@@ -37,7 +38,7 @@ use sitw_core::{
 use sitw_fleet::{LedgerExport, TenantId};
 use sitw_sim::PolicySpec;
 
-use crate::shard::ServedPolicy;
+use crate::shard::{PolicyTemplate, ServedPolicy};
 use crate::wire::{kind_from_str, kind_str};
 
 /// Magic first line of a snapshot file.
@@ -139,25 +140,32 @@ impl PolicyState {
         }
     }
 
-    /// Rebuilds a policy instance under `spec`.
+    /// Rebuilds a standalone policy instance under `spec`.
     ///
     /// # Errors
     ///
     /// Fails when the state variant does not match the spec (e.g. a
     /// hybrid snapshot restored into a fixed-keep-alive server).
     pub fn into_policy(self, spec: &PolicySpec) -> Result<ServedPolicy, String> {
-        match (self, spec) {
-            (PolicyState::Stateless, PolicySpec::Fixed(f)) => Ok(ServedPolicy::Fixed(*f)),
-            (PolicyState::Stateless, PolicySpec::NoUnloading) => {
+        self.instantiate(&PolicyTemplate::new(spec))
+    }
+
+    /// Rebuilds a policy instance from a tenant's `template`; a hybrid
+    /// instance shares the template's configuration. Production state
+    /// never fits: the tenant's manager imports it.
+    pub(crate) fn instantiate(self, template: &PolicyTemplate) -> Result<ServedPolicy, String> {
+        match (self, template) {
+            (PolicyState::Stateless, PolicyTemplate::Fixed(f)) => Ok(ServedPolicy::Fixed(*f)),
+            (PolicyState::Stateless, PolicyTemplate::NoUnload) => {
                 Ok(ServedPolicy::NoUnload(sitw_core::NoUnloading))
             }
-            (PolicyState::Hybrid(snap), PolicySpec::Hybrid(cfg)) => Ok(ServedPolicy::Hybrid(
-                HybridPolicy::from_snapshot(cfg.clone(), snap)?,
+            (PolicyState::Hybrid(snap), PolicyTemplate::Hybrid(cfg)) => Ok(ServedPolicy::Hybrid(
+                HybridPolicy::from_snapshot_with_config(Arc::clone(cfg), snap)?,
             )),
-            (state, spec) => Err(format!(
-                "snapshot state {:?} does not match policy '{}'",
+            (state, template) => Err(format!(
+                "snapshot state {:?} does not match a {} policy",
                 variant_name(&state),
-                spec.label()
+                template.name()
             )),
         }
     }

@@ -884,7 +884,7 @@ pub fn decode_request_frame_into(buf: &[u8], records: &mut Vec<BinInvoke>) -> Fr
     }
 }
 
-fn kind_to_bits(kind: DecisionKind) -> u8 {
+pub(crate) fn kind_to_bits(kind: DecisionKind) -> u8 {
     match kind {
         DecisionKind::Histogram => 0,
         DecisionKind::StandardKeepAlive => 1,
@@ -893,7 +893,7 @@ fn kind_to_bits(kind: DecisionKind) -> u8 {
     }
 }
 
-fn kind_from_bits(bits: u8) -> DecisionKind {
+pub(crate) fn kind_from_bits(bits: u8) -> DecisionKind {
     match bits & 0b11 {
         0 => DecisionKind::Histogram,
         1 => DecisionKind::StandardKeepAlive,
